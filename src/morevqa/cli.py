@@ -138,29 +138,31 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         workers = args.workers
     backend, corpus = _resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, args.system)
-    recording = None
-    if args.record:
-        recording = RecordingBackend(backend, args.record)
-        backend = recording
     try:
         items = load_dataset(args.dataset, lenient=args.lenient)
     except (OSError, DatasetError) as exc:
         raise CliError(str(exc)) from exc
     if not items:
         raise CliError("dataset is empty")
-    results, summary = run_eval(
-        items,
-        args.system,
-        backend,
-        corpus,
-        run_config=run_config,
-        jcef_config=jcef_config,
-        out_dir=args.out,
-        workers=workers,
-        dataset_dir=Path(args.dataset).parent,
-    )
-    if recording is not None:
-        recording.close()
+    recording = None
+    if args.record:
+        recording = RecordingBackend(backend, args.record)
+        backend = recording
+    try:
+        results, summary = run_eval(
+            items,
+            args.system,
+            backend,
+            corpus,
+            run_config=run_config,
+            jcef_config=jcef_config,
+            out_dir=args.out,
+            workers=workers,
+            dataset_dir=Path(args.dataset).parent,
+        )
+    finally:
+        if recording is not None:
+            recording.close()
     print(json.dumps(summary, indent=2))
     failures = sum(1 for r in results if r.failure)
     return EXIT_ITEM_FAILURES if failures else EXIT_OK
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     common_eval_flags(p_eval)
     p_eval.add_argument("--system", required=True, choices=SYSTEMS)
     p_eval.add_argument("--backend", required=True)
-    p_eval.add_argument("--record", help="record every tool call to this file")
+    p_eval.add_argument("--record", help="record every distinct tool call to this file")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_run = sub.add_parser("run", help="run one question with a full trace")

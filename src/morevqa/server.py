@@ -1,7 +1,8 @@
 """Newline-delimited JSON server exposing a backend over TCP.
 
 One request object per line, one response object per line. Malformed lines
-produce an `invalid:`-prefixed error response and leave the connection open.
+produce an `invalid:`-prefixed error response, and an exception raised by the
+backend a `backend:`-prefixed one; either way the connection stays open.
 """
 
 from __future__ import annotations
@@ -10,12 +11,31 @@ import json
 import socketserver
 import threading
 
-from .tools import ToolRequest
+from .tools import ToolRequest, ToolResponse
 
 
-def _error_line(req_id: int, message: str) -> bytes:
-    payload = {"id": req_id, "ok": False, "result": None, "error": f"invalid: {message}"}
+def _line(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+def _reply_line(backend, text: str) -> bytes:
+    """The one response line to one request line."""
+    req_id = 0
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("request must be a JSON object")
+        if type(obj.get("id")) is int:
+            req_id = obj["id"]
+        req = ToolRequest.from_json_dict(obj)
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        return _line({"id": req_id, "ok": False, "result": None,
+                      "error": f"invalid: bad request line ({exc})"})
+    try:
+        return _line(backend.dispatch(req).to_json_dict())
+    except Exception as exc:  # a backend fault must not drop the connection
+        error = f"backend: {type(exc).__name__}: {exc}"
+        return _line(ToolResponse(req.id, ok=False, error=error).to_json_dict())
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -27,20 +47,7 @@ class _Handler(socketserver.StreamRequestHandler):
             text = line.decode("utf-8", errors="replace").strip()
             if not text:
                 continue
-            req_id = 0
-            try:
-                obj = json.loads(text)
-                if not isinstance(obj, dict):
-                    raise ValueError("request must be a JSON object")
-                if isinstance(obj.get("id"), int):
-                    req_id = obj["id"]
-                req = ToolRequest.from_json_dict(obj)
-            except (ValueError, KeyError, TypeError) as exc:
-                self.wfile.write(_error_line(req_id, f"bad request line ({exc})"))
-                self.wfile.flush()
-                continue
-            resp = self.server.backend.dispatch(req)
-            self.wfile.write((json.dumps(resp.to_json_dict()) + "\n").encode("utf-8"))
+            self.wfile.write(_reply_line(self.server.backend, text))
             self.wfile.flush()
 
 

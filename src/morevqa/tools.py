@@ -94,30 +94,45 @@ class ToolResponse:
         )
 
 
+# method -> the string arg it requires
+_TEXT_ARG = {
+    "vqa": "question",
+    "score": "text",
+    "verify_action": "action",
+    "localize": "object",
+    "complete": "prompt",
+}
+
+
 def validate_request(req: ToolRequest) -> str | None:
-    """Return a validation complaint, or None when the request is well formed."""
+    """Return a validation complaint, or None when the request is well formed.
+
+    A well-formed request has a string video id, integer frame ids and
+    string text args, so no backend sees a value of the wrong type. Frame ids
+    are checked with `type(...) is int`, because bool is an int subclass and
+    `True == 1` would alias frame 1.
+    """
     if req.method not in METHODS:
         return f"unknown method {req.method!r}"
+    if req.video_id is not None and not isinstance(req.video_id, str):
+        return "video_id must be a string"
+    if req.frame_id is not None and type(req.frame_id) is not int:
+        return "frame_id must be an integer"
     if req.method in ("caption", "vqa", "score", "verify_action"):
         if req.video_id is None:
             return f"{req.method} requires video_id"
         if req.frame_id is None:
             return f"{req.method} requires frame_id"
-    if req.method == "vqa" and "question" not in req.args:
-        return "vqa requires a question arg"
-    if req.method == "score" and "text" not in req.args:
-        return "score requires a text arg"
-    if req.method == "verify_action" and "action" not in req.args:
-        return "verify_action requires an action arg"
     if req.method == "localize":
         if req.video_id is None:
             return "localize requires video_id"
         frames = req.args.get("frames")
-        if not isinstance(frames, list) or not all(isinstance(f, int) for f in frames):
+        if type(frames) is not list or not all(type(f) is int for f in frames):
             return "localize requires a frames list arg"
-        if "object" not in req.args:
-            return "localize requires an object arg"
-    if req.method == "complete" and not req.args.get("prompt"):
+    text_arg = _TEXT_ARG.get(req.method)
+    if text_arg is not None and not isinstance(req.args.get(text_arg), str):
+        return f"{req.method} requires a string {text_arg} arg"
+    if req.method == "complete" and not req.args["prompt"]:
         return "complete requires a prompt arg"
     return None
 
@@ -129,7 +144,11 @@ def validate_result_shape(method: str, result: Any) -> bool:
     if method == "verify_action":
         return isinstance(result, bool)
     if method == "score":
-        return isinstance(result, (int, float)) and 0.0 <= float(result) <= 1.0
+        return (
+            isinstance(result, (int, float))
+            and not isinstance(result, bool)
+            and 0.0 <= float(result) <= 1.0
+        )
     if method == "localize":
         if not isinstance(result, list):
             return False
@@ -137,7 +156,7 @@ def validate_result_shape(method: str, result: Any) -> bool:
             if not (isinstance(entry, list) and len(entry) == 2):
                 return False
             frame_id, box = entry
-            if not isinstance(frame_id, int):
+            if type(frame_id) is not int:
                 return False
             if not (isinstance(box, list) and len(box) == 4):
                 return False
@@ -424,10 +443,77 @@ class MockBackend:
         raise MockBackendError(f"unroutable method {req.method!r}")
 
 
+# --- content-keyed reply store ---
+
+def canonical_args(args: Mapping[str, Any]) -> str:
+    return json.dumps(args, sort_keys=True, separators=(",", ":"))
+
+
+def _request_key(req: ToolRequest) -> tuple:
+    return (req.method, req.video_id, req.frame_id, canonical_args(req.args))
+
+
+class ReplyStore:
+    """Tool replies keyed by request content, answered under the caller's id.
+
+    Every tool is deterministic (`complete` decodes at temperature 0 and the
+    mock is a pure function of its request), so a reply answers every later
+    request with the same `_request_key`. A request that `validate_request`
+    rejects is never looked up; that also keeps a bool `frame_id` off frame
+    1's entry, since `True == 1` as a dict key. Nothing is evicted: the store
+    lives as long as the backend that owns it. Threads share it without a
+    lock; two that miss the same request at once both ask for it and get the
+    same reply.
+    """
+
+    def __init__(self) -> None:
+        self._replies: dict[tuple, ToolResponse] = {}
+
+    def __len__(self) -> int:
+        return len(self._replies)
+
+    def put(self, req: ToolRequest, resp: ToolResponse) -> None:
+        if validate_request(req) is None:
+            self._replies[_request_key(req)] = resp
+
+    def fetch(self, req: ToolRequest, call) -> ToolResponse:
+        """The stored reply to `req`, or else `call(req)`, which is kept only
+        when ok: `invalid:`, `backend:` and `transport:` replies are asked
+        for again each time."""
+        if validate_request(req) is not None:
+            return call(req)
+        key = _request_key(req)
+        hit = self._replies.get(key)
+        if hit is not None:
+            return ToolResponse(req.id, hit.ok, hit.result, hit.error)
+        resp = call(req)
+        if resp.ok:
+            self._replies[key] = resp
+        return resp
+
+
 # --- remote backend (newline-delimited JSON over TCP) ---
 
+def _read_reply(line: bytes, req: ToolRequest) -> ToolResponse:
+    """The reply on `line` to `req`. Raises ValueError when the line cannot be
+    read, answers another id or carries a result of the wrong shape."""
+    try:
+        resp = ToolResponse.from_json_dict(json.loads(line))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"bad response line ({exc})") from exc
+    if resp.id != req.id:
+        raise ValueError(f"reply id {resp.id} to request id {req.id}")
+    if not (validate_result_shape(req.method, resp.result) if resp.ok
+            else isinstance(resp.error, str)):
+        raise ValueError(f"malformed {req.method} reply")
+    return resp
+
+
 class RemoteBackend:
-    """Client for the six-method wire protocol. One configurable timeout."""
+    """Client for the six-method wire protocol. One configurable timeout.
+
+    A repeated request is answered from a `ReplyStore`, with no round trip.
+    """
 
     def __init__(self, host: str, port: int, timeout_s: float = 10.0):
         self.host = host
@@ -436,6 +522,7 @@ class RemoteBackend:
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
         self._file = None
+        self._store = ReplyStore()
 
     def _connect(self) -> None:
         if self._sock is not None:
@@ -464,6 +551,9 @@ class RemoteBackend:
             self._close_locked()
 
     def dispatch(self, req: ToolRequest) -> ToolResponse:
+        return self._store.fetch(req, self._round_trip)
+
+    def _round_trip(self, req: ToolRequest) -> ToolResponse:
         payload = json.dumps(req.to_json_dict()) + "\n"
         with self._lock:
             try:
@@ -478,33 +568,35 @@ class RemoteBackend:
             self.close()
             return ToolResponse(req.id, ok=False, error="transport: connection closed by server")
         try:
-            obj = json.loads(line.decode("utf-8"))
-            return ToolResponse.from_json_dict(obj)
-        except (ValueError, KeyError) as exc:
-            return ToolResponse(req.id, ok=False, error=f"transport: bad response line ({exc})")
+            return _read_reply(line, req)
+        except ValueError as exc:
+            self.close()  # the stream may be out of step; the next call reconnects
+            return ToolResponse(req.id, ok=False, error=f"transport: {exc}")
 
 
 # --- record / replay ---
 
-def canonical_args(args: Mapping[str, Any]) -> str:
-    return json.dumps(args, sort_keys=True, separators=(",", ":"))
-
-
-def _request_key(req: ToolRequest) -> tuple:
-    return (req.method, req.video_id, req.frame_id, canonical_args(req.args))
-
-
 class RecordingBackend:
-    """Wraps a live backend and writes every request/response pair, in order,
-    as alternating JSON lines."""
+    """Wraps a live backend and writes each distinct request/response pair,
+    in order, as alternating JSON lines.
+
+    A repeat of an ok request is answered from a `ReplyStore` without calling
+    the inner backend, and is not written again. Error replies are not kept,
+    so a failed request is asked and written each time it is made, and so is
+    a request that two workers miss at the same moment.
+    """
 
     def __init__(self, inner, path: str | Path):
         self.inner = inner
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._store = ReplyStore()
         self._fh = open(self.path, "w", encoding="utf-8")
 
     def dispatch(self, req: ToolRequest) -> ToolResponse:
+        return self._store.fetch(req, self._record)
+
+    def _record(self, req: ToolRequest) -> ToolResponse:
         resp = self.inner.dispatch(req)
         with self._lock:
             self._fh.write(json.dumps(req.to_json_dict()) + "\n")
@@ -523,47 +615,38 @@ class ReplayMissError(Exception):
 
 
 class ReplayBackend:
-    """Answers requests from a recording by keyed lookup; a request that was
-    never recorded is a hard error."""
+    """Answers requests from a recording loaded into a `ReplyStore`; a
+    well-formed request that was never recorded is a hard error."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._responses: dict[tuple, dict[str, Any]] = {}
+        self._store = ReplyStore()
         with open(self.path, "r", encoding="utf-8") as fh:
             lines = [line for line in fh.read().split("\n") if line.strip()]
         if len(lines) % 2 != 0:
             raise ValueError(f"recording {self.path} has an odd number of lines")
         for i in range(0, len(lines), 2):
-            req = ToolRequest.from_json_dict(json.loads(lines[i]))
-            resp = json.loads(lines[i + 1])
-            self._responses[_request_key(req)] = resp
+            self._store.put(
+                ToolRequest.from_json_dict(json.loads(lines[i])),
+                ToolResponse.from_json_dict(json.loads(lines[i + 1])),
+            )
 
     def __len__(self) -> int:
-        return len(self._responses)
+        return len(self._store)
 
     def dispatch(self, req: ToolRequest) -> ToolResponse:
-        key = _request_key(req)
-        if key not in self._responses:
-            raise ReplayMissError(
-                "replay miss: no recorded response for "
-                f"method={req.method} video_id={req.video_id!r} "
-                f"frame_id={req.frame_id} args={canonical_args(req.args)}"
-            )
-        recorded = self._responses[key]
-        return ToolResponse(
-            id=req.id,
-            ok=bool(recorded["ok"]),
-            result=recorded.get("result"),
-            error=recorded.get("error"),
+        return self._store.fetch(req, self._miss)
+
+    def _miss(self, req: ToolRequest) -> ToolResponse:
+        # an invalid request is answered as any live backend answers it
+        complaint = validate_request(req)
+        if complaint is not None:
+            return ToolResponse(req.id, ok=False, error=f"invalid: {complaint}")
+        raise ReplayMissError(
+            "replay miss: no recorded response for "
+            f"method={req.method} video_id={req.video_id!r} "
+            f"frame_id={req.frame_id} args={canonical_args(req.args)}"
         )
-
-
-def record_session(backend, path: str | Path) -> RecordingBackend:
-    return RecordingBackend(backend, path)
-
-
-def replay_session(path: str | Path) -> ReplayBackend:
-    return ReplayBackend(path)
 
 
 # --- session ---

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from morevqa import cli
 from morevqa.cli import main
 
 
@@ -159,6 +160,28 @@ def test_record_then_replay_cli(oracle_dir, tmp_path):
         "--out", str(out_replay),
     ]) == 0
     assert _read(out_live / "results.jsonl") == _read(out_replay / "results.jsonl")
+
+
+def test_record_file_closed_when_eval_raises(oracle_dir, tmp_path, monkeypatch):
+    closed = []
+    close = cli.RecordingBackend.close
+    monkeypatch.setattr(cli.RecordingBackend, "close",
+                        lambda self: (closed.append(self.path), close(self)))
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_eval", boom)
+    recording = tmp_path / "rec.jsonl"
+    with pytest.raises(RuntimeError):
+        main([
+            "eval",
+            "--dataset", str(oracle_dir / "dataset.jsonl"),
+            "--system", "morevqa",
+            "--backend", f"mock:{oracle_dir / 'fixtures'}",
+            "--record", str(recording),
+        ])
+    assert closed == [recording]
 
 
 def test_config_file_and_flag_override(oracle_dir, tmp_path, capsys):

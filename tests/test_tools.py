@@ -22,6 +22,7 @@ from morevqa.tools import (
     mock_localize,
     mock_score,
     mock_verify_action,
+    _request_key,
     validate_request,
     validate_result_shape,
 )
@@ -219,6 +220,42 @@ def test_record_then_replay(tmp_path, backend):
     assert again.id == 77 and again.result == live[0].result
 
 
+def test_recorded_grid_holds_each_distinct_request_once(tmp_path, mock_backend, run_grid):
+    rec_path = tmp_path / "grid.jsonl"
+    recorder = RecordingBackend(mock_backend, rec_path)
+    try:
+        live = run_grid(recorder, tmp_path / "live")
+    finally:
+        recorder.close()
+    lines = rec_path.read_text(encoding="utf-8").splitlines()
+    requests = [ToolRequest.from_json_dict(json.loads(line)) for line in lines[::2]]
+    assert len(requests) == 1516
+    assert len({_request_key(req) for req in requests}) == 1516
+    assert live == run_grid(ReplayBackend(rec_path), tmp_path / "replay")
+
+
+def test_recorder_keeps_only_ok_replies(tmp_path, backend):
+    rec_path = tmp_path / "rec.jsonl"
+    recorder = RecordingBackend(backend, rec_path)
+    requests = [
+        ToolRequest(1, "caption", "v1", 5),
+        ToolRequest(2, "caption", "v1", 99),  # backend error: asked again
+        ToolRequest(3, "caption", "v1", True),  # invalid: never frame 1's reply
+    ]
+    for req in requests + requests:
+        assert recorder.dispatch(req) == backend.dispatch(req)
+    recorder.close()
+    lines = rec_path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["id"] for line in lines[::2]] == [1, 2, 3, 2, 3]
+
+    replay = ReplayBackend(rec_path)
+    assert len(replay) == 2  # the invalid request has no key
+    for req in requests:
+        assert replay.dispatch(req) == backend.dispatch(req)
+    bool_frame = replay.dispatch(ToolRequest(4, "caption", "v1", True))
+    assert bool_frame.error.startswith("invalid:")
+
+
 def test_replay_miss_names_request(tmp_path, backend):
     rec_path = tmp_path / "rec.jsonl"
     recorder = RecordingBackend(backend, rec_path)
@@ -261,3 +298,23 @@ def test_validate_request_rules():
         ToolRequest(1, "localize", "v1", None, {"object": "x", "frames": "nope"})
     ) is not None
     assert validate_request(ToolRequest(1, "complete", None, None, {})) is not None
+    wrong_types = [
+        ToolRequest(1, "caption", "v1", "3"),
+        ToolRequest(1, "caption", "v1", True),
+        ToolRequest(1, "caption", ["v1"], 0),
+        ToolRequest(1, "score", "v1", 0, {"text": ["grey", "cat"]}),
+        ToolRequest(1, "vqa", "v1", 0, {"question": 7}),
+        ToolRequest(1, "verify_action", "v1", 0, {"action": None}),
+        ToolRequest(1, "localize", "v1", None, {"object": "x", "frames": [0, True]}),
+        ToolRequest(1, "localize", "v1", None, {"object": 1, "frames": [0]}),
+        ToolRequest(1, "complete", {"v": 1}, None, {"prompt": "#predict"}),
+        ToolRequest(1, "complete", None, None, {"prompt": ["#predict"]}),
+    ]
+    for req in wrong_types:
+        assert validate_request(req) is not None, req
+
+
+def test_validate_result_shape_rejects_bools_as_numbers():
+    assert not validate_result_shape("score", True)
+    assert not validate_result_shape("localize", [[True, [0.1, 0.1, 0.5, 0.5]]])
+    assert validate_result_shape("localize", [[1, [0.1, 0.1, 0.5, 0.5]]])
