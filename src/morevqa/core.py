@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -66,13 +66,12 @@ class FrameWindow:
     frame_ids: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        ids = tuple(int(f) for f in self.frame_ids)
+        ids = tuple(map(int, self.frame_ids))
         object.__setattr__(self, "frame_ids", ids)
         if ids and ids[0] < 0:
             raise ValueError("frame ids must be non-negative")
-        for a, b in zip(ids, ids[1:]):
-            if b <= a:
-                raise ValueError("frame_ids must be strictly increasing")
+        if not all(map(operator.lt, ids, ids[1:])):
+            raise ValueError("frame_ids must be strictly increasing")
 
     @classmethod
     def full(cls, frame_count: int) -> "FrameWindow":
@@ -258,14 +257,6 @@ def uniform_sample(frame_count: int, n: int) -> FrameWindow:
         raise ValueError("n must be >= 1")
     m = min(n, frame_count)
     return FrameWindow(tuple(int((k + 0.5) * frame_count / m) for k in range(m)))
-
-
-def seconds_to_frame(t: float, fps: float) -> int:
-    return int(math.floor(t * fps))
-
-
-def frame_to_seconds(frame_id: int, fps: float) -> float:
-    return frame_id / fps
 
 
 def window_to_seconds(window: FrameWindow, fps: float) -> tuple[float, float]:

@@ -8,8 +8,9 @@ indentation-delimited at 4 spaces per level.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 FLAT = "flat"
 EXTENDED = "extended"
@@ -43,45 +44,45 @@ class InterpreterError(Exception):
 
 # --- AST ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringLit:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FloatLit:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallExpr:
     name: str
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compare:
     op: str
     lhs: Any
     rhs: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListLit:
     items: tuple = ()
 
@@ -89,33 +90,33 @@ class ListLit:
 Expr = Any  # one of the expression node classes above
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallStmt:
     name: str
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     cond: Expr
     then: "Program"
     orelse: "Program | None" = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class For:
     var: str
     iterable: Expr
     body: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     expr: Expr
 
@@ -123,15 +124,14 @@ class Return:
 Stmt = Any  # one of CallStmt, Assign, If, For, Return
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     statements: tuple = ()
 
 
 # --- lexer ---
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME, STRING, INT, FLOAT, OP
     value: Any
     line: int
@@ -140,91 +140,127 @@ class _Token:
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
+_STRING = r'"[^"\\]*"'  # a string literal with no escape in it
+_NUMBER = r"-?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"  # ASCII digits only
+
+# One token and the blanks after it, its kind named by the group that
+# matched. A comment, a string literal with an escape in it, a name that
+# starts with a non-ASCII letter and a bad character match nothing here and
+# are handled one at a time in `_lex_line`.
+_TOKEN = re.compile(
+    rf"""(?:
+      (?P<STRING>{_STRING})
+    | (?P<NUMBER>{_NUMBER})
+    | (?P<NAME>[A-Za-z_]\w*)
+    | (?P<OP>[=!<>]=|[()\[\],=<>:])
+    )[ \t]*""",
+    re.VERBOSE,
+)
+_BLANKS = re.compile(r"[ \t]*")
+_STRING_RUN = re.compile(r'[^"\\]*')
+_NAME_REST = re.compile(r"\w*")  # \w is exactly str.isalnum() or "_"
+
+
+def _number(text: str) -> int | float:
+    """The value of a number literal; ValueError for an int longer than the
+    int-string conversion limit."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
 
 def _lex_line(content: str, line: int, col0: int, raw: str) -> list[_Token]:
+    """Tokens of one line whose indentation is already cut off, so that
+    `content` starts with a non-blank character at column `col0`."""
     out: list[_Token] = []
-    i = 0
+    match = _TOKEN.match
     n = len(content)
+    i = 0
     while i < n:
-        c = content[i]
-        if c in " \t":
-            i += 1
+        col = col0 + i
+        m = match(content, i)
+        if m is not None:
+            kind = m.lastgroup
+            text = m[kind]
+            if kind == "STRING":
+                value: Any = text[1:-1]
+            elif kind == "NUMBER":
+                try:
+                    value = _number(text)
+                except ValueError:
+                    raise ParseError(line, col, "integer literal too long", raw) from None
+                kind = "FLOAT" if type(value) is float else "INT"
+            else:
+                value = text
+            out.append(_Token(kind, value, line, col))
+            i = m.end()
             continue
+        c = content[i]
         if c == "#":  # trailing comment
             break
-        col = col0 + i
         if c == '"':
-            i += 1
             parts: list[str] = []
+            j = i + 1
             while True:
-                if i >= n:
+                k = _STRING_RUN.match(content, j).end()
+                parts.append(content[j:k])
+                if k >= n:
                     raise ParseError(line, col, "unterminated string literal", raw)
-                c = content[i]
-                if c == '"':
-                    i += 1
+                if content[k] == '"':
                     break
-                if c == "\\":
-                    if i + 1 >= n or content[i + 1] not in _ESCAPES:
-                        raise ParseError(line, col0 + i, "bad escape sequence", raw)
-                    parts.append(_ESCAPES[content[i + 1]])
-                    i += 2
-                    continue
-                parts.append(c)
-                i += 1
+                escape = _ESCAPES.get(content[k + 1 : k + 2])
+                if escape is None:
+                    raise ParseError(line, col0 + k, "bad escape sequence", raw)
+                parts.append(escape)
+                j = k + 2
             out.append(_Token("STRING", "".join(parts), line, col))
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and content[i + 1].isdigit()):
-            j = i + 1 if c == "-" else i
-            while j < n and content[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and content[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and content[j].isdigit():
-                    j += 1
-            if j < n and content[j] in "eE":
-                k = j + 1
-                if k < n and content[k] in "+-":
-                    k += 1
-                if k < n and content[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and content[j].isdigit():
-                        j += 1
-            text = content[i:j]
-            if is_float:
-                out.append(_Token("FLOAT", float(text), line, col))
-            else:
-                out.append(_Token("INT", int(text), line, col))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (content[j].isalnum() or content[j] == "_"):
-                j += 1
+            i = k + 1
+        elif c.isalpha():
+            j = _NAME_REST.match(content, i + 1).end()
             out.append(_Token("NAME", content[i:j], line, col))
             i = j
-            continue
-        two = content[i : i + 2]
-        if two in ("==", "!=", "<=", ">="):
-            out.append(_Token("OP", two, line, col))
-            i += 2
-            continue
-        if c in "()[],=<>:":
-            out.append(_Token("OP", c, line, col))
-            i += 1
-            continue
-        raise ParseError(line, col, f"unknown token {c!r}", raw)
+        else:
+            raise ParseError(line, col, f"unknown token {c!r}", raw)
+        i = _BLANKS.match(content, i).end()
     return out
 
 
-@dataclass
-class _Line:
+# A call whose arguments are all literals, with no escape in any string, is
+# nearly every line a stage planner emits. One match reads such a line whole;
+# any other line is lexed and parsed token by token, which also reports its
+# errors.
+_LITERAL = rf"(?:{_STRING}|{_NUMBER}|true|false)"
+_SIMPLE_CALL = re.compile(
+    rf"([A-Za-z_]\w*)[ \t]*\([ \t]*((?:{_LITERAL}[ \t]*,[ \t]*)*{_LITERAL})?[ \t]*\)[ \t]*\Z"
+)
+_SIMPLE_ARG = re.compile(rf"({_STRING})|({_NUMBER})|(true|false)")
+
+
+def _simple_call(body: str) -> CallStmt | None:
+    m = _SIMPLE_CALL.match(body)
+    if m is None or m[1] in _KEYWORDS:
+        return None
+    args: list[Expr] = []
+    for string, number, word in _SIMPLE_ARG.findall(m[2] or ""):
+        if string:
+            args.append(StringLit(string[1:-1]))
+        elif word:
+            args.append(BoolLit(word == "true"))
+        else:
+            try:
+                value = _number(number)
+            except ValueError:  # the lexer reports it
+                return None
+            args.append(FloatLit(value) if type(value) is float else IntLit(value))
+    return CallStmt(m[1], tuple(args))
+
+
+class _Line(NamedTuple):
     level: int
-    tokens: list[_Token]
+    tokens: list[_Token]  # empty when `call` holds the statement
     lineno: int
     raw: str
+    call: CallStmt | None = None
 
 
 def _logical_lines(text: str) -> list[_Line]:
@@ -238,6 +274,10 @@ def _logical_lines(text: str) -> list[_Line]:
             raise ParseError(lineno, indent + 1, "tabs are not allowed in indentation", raw)
         if indent % 4 != 0:
             raise ParseError(lineno, indent + 1, "indentation must be a multiple of 4 spaces", raw)
+        call = _simple_call(body)
+        if call is not None:
+            lines.append(_Line(indent // 4, [], lineno, raw, call))
+            continue
         tokens = _lex_line(body, lineno, indent + 1, raw)
         if tokens:
             lines.append(_Line(indent // 4, tokens, lineno, raw))
@@ -246,20 +286,21 @@ def _logical_lines(text: str) -> list[_Line]:
 
 # --- parser ---
 
+_LITERAL_NODES = {"STRING": StringLit, "INT": IntLit, "FLOAT": FloatLit}
+
+
 class _ExprParser:
     def __init__(self, tokens: list[_Token], line: int, raw: str):
-        self.tokens = tokens
+        # an end-of-line token spares every lookahead a bounds check
+        self.tokens = [*tokens, _Token("EOL", None, line, len(raw) + 1)]
         self.i = 0
         self.line = line
         self.raw = raw
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
     def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(self.line, len(self.raw) + 1, "unexpected end of line", self.raw)
+        tok = self.tokens[self.i]
+        if tok.kind == "EOL":
+            raise ParseError(self.line, tok.col, "unexpected end of line", self.raw)
         self.i += 1
         return tok
 
@@ -270,66 +311,60 @@ class _ExprParser:
 
     def parse_full(self) -> Expr:
         expr = self.comparison(1)
-        tok = self._peek()
-        if tok is not None:
+        tok = self.tokens[self.i]
+        if tok.kind != "EOL":
             raise ParseError(tok.line, tok.col, "unexpected token after expression", self.raw)
         return expr
 
     def comparison(self, depth: int) -> Expr:
         left = self.atom(depth)
-        tok = self._peek()
-        if tok is not None and tok.kind == "OP" and tok.value in _CMP_OPS:
+        tok = self.tokens[self.i]
+        if tok.kind == "OP" and tok.value in _CMP_OPS:
             self.i += 1
-            right = self.atom(depth + 1)
-            return Compare(tok.value, left, right)
+            return Compare(tok.value, left, self.atom(depth + 1))
         return left
 
     def atom(self, depth: int) -> Expr:
         if depth > MAX_EXPR_DEPTH:
-            tok = self._peek()
-            line = tok.line if tok else self.line
-            col = tok.col if tok else 1
-            raise ParseError(line, col, "expression nesting too deep", self.raw)
+            tok = self.tokens[self.i]
+            col = 1 if tok.kind == "EOL" else tok.col
+            raise ParseError(tok.line, col, "expression nesting too deep", self.raw)
         tok = self._next()
-        if tok.kind == "STRING":
-            return StringLit(tok.value)
-        if tok.kind == "INT":
-            return IntLit(tok.value)
-        if tok.kind == "FLOAT":
-            return FloatLit(tok.value)
-        if tok.kind == "NAME":
-            if tok.value == "true":
-                return BoolLit(True)
-            if tok.value == "false":
-                return BoolLit(False)
-            if tok.value in _KEYWORDS:
-                raise ParseError(tok.line, tok.col, f"reserved word {tok.value!r} in expression", self.raw)
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "OP" and nxt.value == "(":
+        kind, value = tok.kind, tok.value
+        literal = _LITERAL_NODES.get(kind)
+        if literal is not None:
+            return literal(value)
+        if kind == "NAME":
+            if value in _KEYWORDS:
+                if value == "true":
+                    return BoolLit(True)
+                if value == "false":
+                    return BoolLit(False)
+                raise ParseError(tok.line, tok.col, f"reserved word {value!r} in expression", self.raw)
+            nxt = self.tokens[self.i]
+            if nxt.kind == "OP" and nxt.value == "(":
                 self.i += 1
-                args = self._expr_list(")", depth)
-                return CallExpr(tok.value, tuple(args))
-            return Var(tok.value)
-        if tok.kind == "OP" and tok.value == "[":
-            items = self._expr_list("]", depth)
-            return ListLit(tuple(items))
-        if tok.kind == "OP" and tok.value == "(":
+                return CallExpr(value, self._expr_list(")", depth))
+            return Var(value)
+        if kind == "OP" and value == "[":
+            return ListLit(self._expr_list("]", depth))
+        if kind == "OP" and value == "(":
             inner = self.comparison(depth + 1)
             self._expect_op(")")
             return inner
         raise ParseError(tok.line, tok.col, "expected an expression", self.raw)
 
-    def _expr_list(self, closer: str, depth: int) -> list[Expr]:
-        items: list[Expr] = []
-        tok = self._peek()
-        if tok is not None and tok.kind == "OP" and tok.value == closer:
+    def _expr_list(self, closer: str, depth: int) -> tuple:
+        tok = self.tokens[self.i]
+        if tok.kind == "OP" and tok.value == closer:
             self.i += 1
-            return items
+            return ()
+        items: list[Expr] = []
         while True:
             items.append(self.comparison(depth + 1))
             tok = self._next()
             if tok.kind == "OP" and tok.value == closer:
-                return items
+                return tuple(items)
             if not (tok.kind == "OP" and tok.value == ","):
                 raise ParseError(tok.line, tok.col, f"expected ',' or {closer!r}", self.raw)
 
@@ -357,6 +392,8 @@ class _BlockParser:
     def _statement(self, level: int) -> Stmt:
         line = self.lines[self.pos]
         self.pos += 1
+        if line.call is not None:
+            return line.call
         toks = line.tokens
         head = toks[0]
 
@@ -453,7 +490,12 @@ def parse(text: str, mode: str = FLAT) -> Program:
 
 # --- renderer ---
 
+_NEEDS_ESCAPE = re.compile(r'[\\"\n\t\r]')
+
+
 def _escape(value: str) -> str:
+    if _NEEDS_ESCAPE.search(value) is None:
+        return f'"{value}"'
     out = value.replace("\\", "\\\\").replace('"', '\\"')
     out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
     return f'"{out}"'
@@ -471,9 +513,9 @@ def render_expr(expr: Expr) -> str:
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, CallExpr):
-        return f"{expr.name}({', '.join(render_expr(a) for a in expr.args)})"
+        return f"{expr.name}({', '.join(map(render_expr, expr.args))})"
     if isinstance(expr, ListLit):
-        return f"[{', '.join(render_expr(a) for a in expr.items)}]"
+        return f"[{', '.join(map(render_expr, expr.items))}]"
     if isinstance(expr, Compare):
         return f"{_render_operand(expr.lhs)} {expr.op} {_render_operand(expr.rhs)}"
     raise TypeError(f"not an expression node: {expr!r}")
@@ -488,7 +530,7 @@ def _render_operand(expr: Expr) -> str:
 def _stmt_lines(stmt: Stmt, level: int) -> list[str]:
     pad = "    " * level
     if isinstance(stmt, CallStmt):
-        return [pad + render_expr(CallExpr(stmt.name, stmt.args))]
+        return [f"{pad}{stmt.name}({', '.join(map(render_expr, stmt.args))})"]
     if isinstance(stmt, Assign):
         return [f"{pad}{stmt.var} = {render_expr(stmt.expr)}"]
     if isinstance(stmt, Return):

@@ -114,9 +114,6 @@ class LlmBackedPlanner:
 
     kind = "llm_backed"
 
-    def __init__(self, prompt_template_id: str = "default"):
-        self.prompt_template_id = prompt_template_id
-
     def plan(self, stage: str, memory: MemoryState, session: ToolSession,
              video_id: str | None) -> tuple[str, str]:
         prompt = build_planner_prompt(stage, memory)

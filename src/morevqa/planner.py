@@ -52,6 +52,9 @@ _REGION_PHRASE = re.compile(
     r"\s*(?:in|at|near|toward|towards)\s+the\s+(?:beginning|start|middle|end)\s+of\s+the\s+video\b",
     re.IGNORECASE,
 )
+_FINALLY_LEAD = re.compile(r"^\s*finally\s*,?\s*", re.IGNORECASE)
+_WHITESPACE = re.compile(r"\s+")
+_SPACE_BEFORE_PUNCT = re.compile(r"\s+([?.!,])")
 
 _QTYPE_BY_LEAD = {
     "why": QAType.WHY,
@@ -66,7 +69,10 @@ _COUNT_STOP = frozenset({"is", "are", "was", "were", "do", "does", "did", "can",
 
 def classify_question(question: str) -> QAType | None:
     """Map the leading interrogative to a question type, or None."""
-    toks = tokens(question)
+    return _classify(tokens(question))
+
+
+def _classify(toks: list[str]) -> QAType | None:
     if not toks:
         return None
     first = toks[0]
@@ -77,16 +83,16 @@ def classify_question(question: str) -> QAType | None:
     return _QTYPE_BY_LEAD.get(first)
 
 
-def find_region(question: str) -> str | None:
-    for tok in tokens(question):
+def _find_region(toks: list[str]) -> str | None:
+    for tok in toks:
         if tok in REGION_KEYWORDS:
             return REGION_KEYWORDS[tok]
     return None
 
 
-def find_conjunction(question: str) -> tuple[str, int] | None:
+def _find_conjunction(toks: list[str]) -> tuple[str, int] | None:
     """First temporal conjunction token and its index, if any."""
-    for idx, tok in enumerate(tokens(question)):
+    for idx, tok in enumerate(toks):
         if tok in CONJUNCTION_KEYWORDS:
             return CONJUNCTION_KEYWORDS[tok], idx
     return None
@@ -94,9 +100,9 @@ def find_conjunction(question: str) -> tuple[str, int] | None:
 
 def strip_region_phrase(question: str) -> str:
     revised = _REGION_PHRASE.sub("", question)
-    revised = re.sub(r"^\s*finally\s*,?\s*", "", revised, flags=re.IGNORECASE)
-    revised = re.sub(r"\s+", " ", revised).strip()
-    revised = re.sub(r"\s+([?.!,])", r"\1", revised)
+    revised = _FINALLY_LEAD.sub("", revised)
+    revised = _WHITESPACE.sub(" ", revised).strip()
+    revised = _SPACE_BEFORE_PUNCT.sub(r"\1", revised)
     return revised
 
 
@@ -117,9 +123,12 @@ def extract_events(question: str) -> tuple[list[str], str | None]:
     A clause counts as an event only when it carries a progressive action
     token; attribute-style questions yield no events and let grounding no-op.
     """
-    stripped = strip_region_phrase(question)
-    toks = tokens(stripped)
-    conj = find_conjunction(stripped)
+    return _events(tokens(strip_region_phrase(question)))
+
+
+def _events(toks: list[str]) -> tuple[list[str], str | None]:
+    """`extract_events` on the tokens of the region-stripped question."""
+    conj = _find_conjunction(toks)
     clauses: list[list[str]] = []
     conj_name: str | None = None
     if conj is not None:
@@ -169,21 +178,22 @@ def _call(name: str, *args: str | bool) -> CallStmt:
 
 def _plan_event_parsing(memory: MemoryState) -> Program:
     question = memory.question
+    toks = tokens(question)
+    revised = strip_region_phrase(question)
     stmts: list[CallStmt] = []
-    region = find_region(question)
+    region = _find_region(toks)
     if region is not None:
         stmts.append(_call("trim", region))
-    qa_type = classify_question(question)
+    qa_type = _classify(toks)
     if qa_type is not None:
         stmts.append(_call("classify", qa_type.value))
-    if any(tok in OCR_KEYWORDS for tok in tokens(question)):
+    if any(tok in OCR_KEYWORDS for tok in toks):
         stmts.append(_call("require_ocr", True))
-    events, conj = extract_events(question)
+    events, conj = _events(toks if revised == question else tokens(revised))
     if conj is not None:
         stmts.append(_call("set_conjunction", conj))
     for event in events[:2]:
         stmts.append(_call("parse_event", event))
-    revised = strip_region_phrase(question)
     if revised != question:
         stmts.append(_call("revise_question", revised))
     if not stmts:

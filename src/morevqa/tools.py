@@ -28,21 +28,17 @@ from .text import jaccard, token_overlap, token_set, whole_word_contains
 
 METHODS = ("caption", "vqa", "localize", "verify_action", "score", "complete")
 
-DEFAULT_SCORE_THRESHOLD = 0.7
+
+def _json_id(obj: dict[str, Any]) -> int:
+    """The `id` field of a wire object. A float, bool or string id is
+    refused, never coerced: the reply must carry the id that was sent."""
+    req_id = obj["id"]
+    if type(req_id) is not int:
+        raise ValueError(f"id must be an integer, got {req_id!r}")
+    return req_id
 
 
-@dataclass(frozen=True)
-class ScoreThreshold:
-    """Pass mark for text-image comparison scores."""
-
-    value: float = DEFAULT_SCORE_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.value < 1.0:
-            raise ValueError("score threshold must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToolRequest:
     id: int
     method: str
@@ -62,7 +58,7 @@ class ToolRequest:
     @classmethod
     def from_json_dict(cls, obj: dict[str, Any]) -> "ToolRequest":
         return cls(
-            id=int(obj["id"]),
+            id=_json_id(obj),
             method=obj["method"],
             video_id=obj.get("video_id"),
             frame_id=obj.get("frame_id"),
@@ -70,7 +66,7 @@ class ToolRequest:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToolResponse:
     id: int
     ok: bool
@@ -87,7 +83,7 @@ class ToolResponse:
     @classmethod
     def from_json_dict(cls, obj: dict[str, Any]) -> "ToolResponse":
         return cls(
-            id=int(obj["id"]),
+            id=_json_id(obj),
             ok=bool(obj["ok"]),
             result=obj.get("result"),
             error=obj.get("error"),
@@ -392,15 +388,8 @@ class MockBackendError(Exception):
 class MockBackend:
     """Pure function of (fixture corpus, request); safe for concurrent use."""
 
-    def __init__(
-        self,
-        corpus: Mapping[str, WorldFixture],
-        score_threshold: ScoreThreshold | float = DEFAULT_SCORE_THRESHOLD,
-    ):
+    def __init__(self, corpus: Mapping[str, WorldFixture]):
         self.corpus = dict(corpus)
-        if isinstance(score_threshold, float):
-            score_threshold = ScoreThreshold(score_threshold)
-        self.score_threshold = score_threshold
 
     def _fixture(self, video_id: str | None) -> WorldFixture:
         if video_id is None or video_id not in self.corpus:
@@ -445,8 +434,13 @@ class MockBackend:
 
 # --- content-keyed reply store ---
 
+# json.dumps builds a new encoder on each call that passes options
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_args(args: Mapping[str, Any]) -> str:
-    return json.dumps(args, sort_keys=True, separators=(",", ":"))
+    """`json.dumps(args, sort_keys=True, separators=(",", ":"))`."""
+    return _CANONICAL_ENCODER.encode(args) if args else "{}"
 
 
 def _request_key(req: ToolRequest) -> tuple:
@@ -684,15 +678,12 @@ class ToolSession:
         with self._lock:
             req_id = self._next_id
             self._next_id += 1
-        req = ToolRequest(req_id, method, video_id, frame_id, args)
-        resp = self.backend.dispatch(req)
-        record = {
-            "method": method,
-            "args": {"video_id": video_id, "frame_id": frame_id, **args},
-            "result": resp.result if resp.ok else None,
-        }
-        if not resp.ok:
-            record["error"] = resp.error
+        resp = self.backend.dispatch(ToolRequest(req_id, method, video_id, frame_id, args))
+        call_args = {"video_id": video_id, "frame_id": frame_id, **args}
+        if resp.ok:
+            record = {"method": method, "args": call_args, "result": resp.result}
+        else:
+            record = {"method": method, "args": call_args, "result": None, "error": resp.error}
         with self._lock:
             self.trace.append(record)
         return resp

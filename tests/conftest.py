@@ -38,15 +38,16 @@ def mock_backend(oracle_bundle):
 @pytest.fixture(scope="session")
 def run_grid(oracle_bundle, oracle_dir):
     """Run the grid over the oracle corpus on one backend, writing each
-    evaluation under `out_root`; return the bytes of every `results.jsonl`
-    and trace file, keyed by path relative to `out_root`."""
+    evaluation under `out_root`; return the bytes of every `results.jsonl`,
+    `summary.json` and trace file, keyed by path relative to `out_root`."""
     items = load_dataset(oracle_dir / "dataset.jsonl")
 
     def run(backend, out_root: Path) -> dict[str, bytes]:
         for idx, (system, config) in enumerate(GRID):
             run_eval(items, system, backend, oracle_bundle.fixtures, run_config=config,
                      out_dir=out_root / f"{idx}_{system}", dataset_dir=oracle_dir)
-        paths = [*out_root.glob("*/results.jsonl"), *out_root.glob("*/traces/*.json")]
+        paths = [*out_root.glob("*/results.jsonl"), *out_root.glob("*/summary.json"),
+                 *out_root.glob("*/traces/*.json")]
         return {str(p.relative_to(out_root)): p.read_bytes() for p in sorted(paths)}
 
     return run

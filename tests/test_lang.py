@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from astgen import random_flat_program, random_extended_program
 from morevqa.lang import (
     EXTENDED,
     FLAT,
+    MODES,
     Assign,
     CallExpr,
     CallStmt,
@@ -89,6 +92,64 @@ def test_parse_error_positions():
     assert err.value.line == 2
     assert err.value.col >= 5
     assert "$" in err.value.snippet
+
+
+@pytest.mark.parametrize("text, col", [
+    ("f(\u00b2)", 3),  # a superscript two is a digit to str.isdigit, not to int()
+    ("f(\u0663)", 3),  # so is an Arabic-Indic three; literals take ASCII digits only
+    ("f(1\u00b2)", 4),
+    ("f(" + "9" * 5000 + ")", 3),  # past the int-string conversion limit
+], ids=["superscript", "arabic-indic", "digit-superscript", "too-long"])
+def test_bad_number_is_a_parse_error(text, col):
+    with pytest.raises(ParseError) as err:
+        parse(text, FLAT)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+_PROGRAM_CHARS = st.sampled_from(
+    list('abxz_019 "\\#()[],=<>!:-.eE+\n\t')
+    + ["    ", "if ", "for ", "in ", "else", "return ", "true", "\u00b2", "\u00e9"]
+)
+
+
+@given(st.text() | st.lists(_PROGRAM_CHARS, max_size=40).map("".join), st.sampled_from(MODES))
+def test_parse_returns_a_program_or_raises_parse_error(text, mode):
+    try:
+        program = parse(text, mode)
+    except ParseError:
+        return
+    assert isinstance(program, Program)
+
+
+_CALL_ARGS = ['"a b"', '""', '"q\\"', "-2", "3.5", "1e3", "2.", "1e", "true", "false", "x",
+              "[1]", "1 == 2", "#"]
+_CALL_LINES = st.builds(
+    lambda name, args, pad: f"{name}{pad}({pad}{(pad + ',' + pad).join(args)}{pad}){pad}",
+    st.sampled_from(["f", "g_1", "if", "for", "else", "true", "return"]),
+    st.lists(st.sampled_from(_CALL_ARGS), max_size=3),
+    st.sampled_from(["", " ", "\t"]),
+)
+_CALL_PIECES = st.sampled_from(["f", "if", "(", ")", ",", " ", *_CALL_ARGS])
+
+
+@given(_CALL_LINES | st.lists(_CALL_PIECES, max_size=10).map("".join))
+def test_whole_line_call_parses_like_the_token_path(line):
+    # a trailing comment sends any line down the token-by-token path
+    try:
+        program = parse(line, EXTENDED)
+    except ParseError:
+        with pytest.raises(ParseError):
+            parse(line + "  # c", EXTENDED)
+    else:
+        assert parse(line + "  # c", EXTENDED) == program
+
+
+def test_ast_nodes_are_frozen():
+    node = parse('f("a", [1, x], y == 2.5)', EXTENDED).statements[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.name = "g"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.args[0].value = "b"
 
 
 def test_bad_indentation_rejected():

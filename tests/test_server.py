@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morevqa.harness import load_dataset, run_eval
-from morevqa.server import parse_listen_address, start_server
+from morevqa.server import _reply_line, parse_listen_address, start_server
 from morevqa.tools import METHODS, RemoteBackend, ToolRequest
 
 
@@ -189,6 +189,16 @@ def test_backend_exception_keeps_connection_open():
         srv.server_close()
 
 
+@pytest.mark.parametrize("req_id", [7, 1.9, 1.0, True, "7", None, [1]])
+def test_reply_carries_only_an_id_that_was_sent(mock_backend, req_id):
+    line = json.dumps({"id": req_id, "method": "caption", "video_id": "v000", "frame_id": 1})
+    reply = json.loads(_reply_line(mock_backend, line))
+    if type(req_id) is int:
+        assert reply["id"] == req_id and reply["ok"] is True
+    else:
+        assert reply["id"] == 0 and reply["error"].startswith("invalid:")
+
+
 def test_wrong_typed_fields_get_invalid_reply(server):
     sock = socket.create_connection(_addr(server), timeout=5)
     fh = sock.makefile("rwb")
@@ -257,6 +267,8 @@ class _ReplyServer:
     b'{"id": 1, "ok": false, "result": null, "error": 5}\n',
     b'{"id": 1, "ok": true, "result": "x", "error": "both"}\n',
     b'[1]\n',
+    b'{"id": 1.0, "ok": true, "result": "a caption", "error": null}\n',  # an id is an int
+    b'{"id": true, "ok": true, "result": "a caption", "error": null}\n',
 ])
 def test_remote_rejects_bad_reply(reply):
     fake = _ReplyServer(reply)
@@ -310,6 +322,8 @@ def test_any_json_line_gets_one_reply(wire_file, value):
     reply = json.loads(wire_file.readline())
     assert set(reply) == {"id", "ok", "result", "error"}
     assert reply["ok"] is (reply["error"] is None)
+    sent = value.get("id") if isinstance(value, dict) else None
+    assert reply["id"] == (sent if type(sent) is int else 0)
     if not reply["ok"]:
         assert reply["error"].startswith(("invalid:", "backend:"))
     # exactly one line came back, and the connection still serves

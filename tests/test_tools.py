@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from morevqa.tools import (
     mock_score,
     mock_verify_action,
     _request_key,
+    canonical_args,
     validate_request,
     validate_result_shape,
 )
@@ -252,6 +254,8 @@ def test_recorder_keeps_only_ok_replies(tmp_path, backend):
     assert len(replay) == 2  # the invalid request has no key
     for req in requests:
         assert replay.dispatch(req) == backend.dispatch(req)
+        moved = dataclasses.replace(req, id=req.id + 10)  # a hit keeps ok, result and error
+        assert replay.dispatch(moved) == backend.dispatch(moved)
     bool_frame = replay.dispatch(ToolRequest(4, "caption", "v1", True))
     assert bool_frame.error.startswith("invalid:")
 
@@ -318,3 +322,25 @@ def test_validate_result_shape_rejects_bools_as_numbers():
     assert not validate_result_shape("score", True)
     assert not validate_result_shape("localize", [[True, [0.1, 0.1, 0.5, 0.5]]])
     assert validate_result_shape("localize", [[1, [0.1, 0.1, 0.5, 0.5]]])
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=10,
+)
+
+
+@given(st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4))
+def test_canonical_args_is_sorted_compact_json(args):
+    assert canonical_args(args) == json.dumps(args, sort_keys=True, separators=(",", ":"))
+
+
+def test_request_and_response_are_frozen():
+    req = ToolRequest(1, "caption", "v1", 5)
+    resp = ToolResponse(1, ok=True, result="x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        req.frame_id = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        resp.result = "y"
