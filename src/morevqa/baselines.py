@@ -16,7 +16,7 @@ from .lang import (
     interpret,
     parse,
 )
-from .pipeline import map_reply_to_candidate
+from .pipeline import answer_from_reply
 from .prompts import build_predict_prompt, build_single_stage_prompt
 from .tools import ToolError, ToolSession
 
@@ -81,36 +81,29 @@ def jcef_caption_frames(video: VideoMeta, cfg: JcefConfig) -> list[int]:
     return frames
 
 
+def _caption_and_predict(
+    qa: QAItem, session: ToolSession, frames: list[int], video_id: str | None
+) -> BaselineOutcome:
+    """Caption the frames, then predict from the question and those captions."""
+    try:
+        lines = [f"[frame {f}] caption: {session.caption(video_id, f)}" for f in frames]
+        prompt = build_predict_prompt(qa.question, qa.candidates, lines)
+        answer, mc_index = answer_from_reply(session.complete(prompt, video_id), qa.candidates)
+    except ToolError as exc:
+        return BaselineOutcome("", None, failure={"kind": "tool_error", "message": str(exc)})
+    return BaselineOutcome(answer, mc_index, prompt=prompt)
+
+
 def run_jcef(
     video: VideoMeta, qa: QAItem, cfg: JcefConfig, session: ToolSession
 ) -> BaselineOutcome:
     """Caption frames, feed everything to the prediction backend."""
-    try:
-        lines = [
-            f"[frame {f}] caption: {session.caption(video.video_id, f)}"
-            for f in jcef_caption_frames(video, cfg)
-        ]
-        prompt = build_predict_prompt(qa.question, qa.candidates, lines)
-        reply = session.complete(prompt, video.video_id)
-    except ToolError as exc:
-        return BaselineOutcome("", None, failure={"kind": "tool_error", "message": str(exc)})
-    if qa.candidates:
-        idx = map_reply_to_candidate(reply, qa.candidates)
-        return BaselineOutcome(qa.candidates[idx], idx, prompt=prompt)
-    return BaselineOutcome(reply, None, prompt=prompt)
+    return _caption_and_predict(qa, session, jcef_caption_frames(video, cfg), video.video_id)
 
 
 def run_llm_only(qa: QAItem, session: ToolSession) -> BaselineOutcome:
     """Predict from the question alone; no visual input at all."""
-    prompt = build_predict_prompt(qa.question, qa.candidates, [])
-    try:
-        reply = session.complete(prompt, None)
-    except ToolError as exc:
-        return BaselineOutcome("", None, failure={"kind": "tool_error", "message": str(exc)})
-    if qa.candidates:
-        idx = map_reply_to_candidate(reply, qa.candidates)
-        return BaselineOutcome(qa.candidates[idx], idx, prompt=prompt)
-    return BaselineOutcome(reply, None, prompt=prompt)
+    return _caption_and_predict(qa, session, [], None)
 
 
 def make_program_tools(session: ToolSession, video: VideoMeta, qa: QAItem) -> dict[str, Any]:
@@ -194,10 +187,6 @@ def run_single_stage(
             "", None, program=program_text,
             failure={"kind": f"runtime_{exc.kind}", "message": str(exc)},
         )
-    answer = result.value if isinstance(result.value, str) else str(result.value)
-    if qa.candidates:
-        idx = map_reply_to_candidate(answer, qa.candidates)
-        return BaselineOutcome(
-            qa.candidates[idx], idx, program=program_text, calls=result.calls
-        )
-    return BaselineOutcome(answer, None, program=program_text, calls=result.calls)
+    value = result.value if isinstance(result.value, str) else str(result.value)
+    answer, mc_index = answer_from_reply(value, qa.candidates)
+    return BaselineOutcome(answer, mc_index, program=program_text, calls=result.calls)

@@ -72,8 +72,8 @@ def _build_configs(config_path: str | None) -> tuple[RunConfig, JcefConfig, int]
     if config_path is None:
         return run_config, jcef_config, workers
     values = _parse_config_file(config_path)
-    run_fields = {f.name: f for f in fields(RunConfig)}
-    jcef_fields = {f.name: f for f in fields(JcefConfig)}
+    run_fields = {f.name for f in fields(RunConfig)}
+    jcef_fields = {f.name for f in fields(JcefConfig)}
     for key, raw in values.items():
         if key == "workers":
             workers = int(raw)
@@ -84,18 +84,14 @@ def _build_configs(config_path: str | None) -> tuple[RunConfig, JcefConfig, int]
             run_config = replace(
                 run_config, stage_mask=tuple(_coerce(b, bool) for b in bits)
             )
+        elif key in run_fields:
+            hint = type(getattr(run_config, key))
+            run_config = replace(run_config, **{key: _coerce(raw, hint)})
+        elif key in jcef_fields:
+            hint = type(getattr(jcef_config, key))
+            jcef_config = replace(jcef_config, **{key: _coerce(raw, hint)})
         else:
-            known = False
-            if key in run_fields:
-                hint = type(getattr(run_config, key))
-                run_config = replace(run_config, **{key: _coerce(raw, hint)})
-                known = True
-            if key in jcef_fields:  # fps_caption lives on both configs
-                hint = type(getattr(jcef_config, key))
-                jcef_config = replace(jcef_config, **{key: _coerce(raw, hint)})
-                known = True
-            if not known:
-                raise CliError(f"unknown config key {key!r}")
+            raise CliError(f"unknown config key {key!r}")
     return run_config, jcef_config, workers
 
 

@@ -221,10 +221,7 @@ class RunConfig:
     """Pipeline configuration. Defaults match the reference setting."""
 
     n_context_frames: int = 16
-    fps_caption: float = 1.0
-    decode_temperature: float = 0.0
     stage_mask: tuple[bool, bool, bool] = (True, True, True)
-    seed: int = 0
     # "keep" retains the 40% slice named by the region; "remove" keeps the
     # complementary 60% instead.
     trim_mode: str = "keep"
@@ -234,8 +231,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n_context_frames < 1:
             raise ValueError("n_context_frames must be >= 1")
-        if self.fps_caption <= 0:
-            raise ValueError("fps_caption must be positive")
         if len(self.stage_mask) != 3:
             raise ValueError("stage_mask must have three entries")
         object.__setattr__(self, "stage_mask", tuple(bool(m) for m in self.stage_mask))

@@ -273,28 +273,24 @@ def run_item(
         trace = outcome.trace_dict(item.video_id, item.qa.question)
         if outcome.stage_timings_ms:
             timings.update(outcome.stage_timings_ms)
-    elif system == "jcef":
-        base = run_jcef(video, item.qa, jcef_config, session)
-        answer, mc_index, failure, pred_window = base.answer, base.mc_index, base.failure, None
-        trace = base.trace_dict(system, item.video_id, item.qa.question)
-    elif system == "llm_only":
-        base = run_llm_only(item.qa, session)
-        answer, mc_index, failure, pred_window = base.answer, base.mc_index, base.failure, None
-        trace = base.trace_dict(system, item.video_id, item.qa.question)
-    elif system == "single_stage":
-        try:
-            program_text = _resolve_program_text(item, dataset_dir)
-        except OSError as exc:
-            program_text = None
-            base = BaselineOutcome(
-                "", None, failure={"kind": "missing_program", "message": str(exc)}
-            )
-        else:
-            base = run_single_stage(video, item.qa, session, program_text)
-        answer, mc_index, failure, pred_window = base.answer, base.mc_index, base.failure, None
-        trace = base.trace_dict(system, item.video_id, item.qa.question)
     else:
-        raise ValueError(f"unknown system {system!r}")
+        if system == "jcef":
+            base = run_jcef(video, item.qa, jcef_config, session)
+        elif system == "llm_only":
+            base = run_llm_only(item.qa, session)
+        elif system == "single_stage":
+            try:
+                program_text = _resolve_program_text(item, dataset_dir)
+            except OSError as exc:
+                base = BaselineOutcome(
+                    "", None, failure={"kind": "missing_program", "message": str(exc)}
+                )
+            else:
+                base = run_single_stage(video, item.qa, session, program_text)
+        else:
+            raise ValueError(f"unknown system {system!r}")
+        answer, mc_index, failure, pred_window = base.answer, base.mc_index, base.failure, None
+        trace = base.trace_dict(system, item.video_id, item.qa.question)
     timings["total"] = (time.perf_counter() - started) * 1000.0
     correct = 0.0 if failure else _score_item(item, answer, mc_index)
     return EvalResult(
@@ -381,7 +377,8 @@ def run_eval(
                 mc_index=None,
                 correct=0.0,
                 pred_window_s=None,
-                failure={"kind": "item_error", "message": str(exc)},
+                failure={"kind": "item_error", "error_type": type(exc).__name__,
+                         "message": str(exc)},
                 trace={"system": system, "video_id": item.video_id,
                        "question": item.qa.question, "failure": str(exc)},
             )

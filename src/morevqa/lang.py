@@ -8,6 +8,7 @@ indentation-delimited at 4 spaces per level.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
@@ -163,9 +164,13 @@ _NAME_REST = re.compile(r"\w*")  # \w is exactly str.isalnum() or "_"
 
 def _number(text: str) -> int | float:
     """The value of a number literal; ValueError for an int longer than the
-    int-string conversion limit."""
+    int-string conversion limit or a float that overflows to infinity, since
+    neither renders back as a number literal."""
     if "." in text or "e" in text or "E" in text:
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"float literal {text} overflows")
+        return value
     return int(text)
 
 
@@ -188,7 +193,7 @@ def _lex_line(content: str, line: int, col0: int, raw: str) -> list[_Token]:
                 try:
                     value = _number(text)
                 except ValueError:
-                    raise ParseError(line, col, "integer literal too long", raw) from None
+                    raise ParseError(line, col, "number literal out of range", raw) from None
                 kind = "FLOAT" if type(value) is float else "INT"
             else:
                 value = text

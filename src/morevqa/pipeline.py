@@ -1,8 +1,9 @@
 """Three-stage reasoning pipeline over shared memory, plus final prediction.
 
 Stage programs are flat tool-call programs obtained from a planner, executed
-against MemoryState and the tool session. Every stage leaves a StageRecord so
-the whole run is replayable from its trace.
+against MemoryState and the tool session. `run_morevqa` runs the stages from
+one table; a disabled stage runs its runner on the empty program. Every stage
+leaves a StageRecord so the whole run is replayable from its trace.
 """
 
 from __future__ import annotations
@@ -55,12 +56,6 @@ class StageError(Exception):
         self.stage = stage
         self.kind = kind
         self.message = message
-
-
-@dataclass
-class StageResult:
-    record: StageRecord
-    memory: MemoryState
 
 
 @dataclass
@@ -168,7 +163,11 @@ def apply_conjunction(
     return FrameWindow(picked)
 
 
-# --- stage program execution ---
+# --- stage runners ---
+#
+# A runner executes one stage program against the shared memory and owns the
+# stage's fallback. A disabled stage runs the empty program, so the fallback
+# is also that stage's ablation.
 
 def _literal_value(expr: Any, stage: str) -> Any:
     if isinstance(expr, (StringLit, IntLit, FloatLit, BoolLit)):
@@ -187,9 +186,15 @@ def _stage_calls(program: Program, stage: str) -> list[tuple[str, list[Any]]]:
     return calls
 
 
-def execute_event_parsing_program(
-    program: Program, memory: MemoryState, config: RunConfig
+def run_event_parsing(
+    program: Program,
+    memory: MemoryState,
+    video: VideoMeta | None,
+    session: ToolSession | None,
+    config: RunConfig,
 ) -> None:
+    """Trim the window and record the question type, events and conjunction;
+    the empty program changes nothing."""
     stage = "event_parsing"
     for name, args in _stage_calls(program, stage):
         if name == "noop":
@@ -224,79 +229,76 @@ def execute_event_parsing_program(
             raise StageError(stage, "unknown_call", f"unrecognized call {name!r}")
 
 
-def execute_grounding_program(
+def run_grounding(
     program: Program,
     memory: MemoryState,
     video: VideoMeta,
     session: ToolSession,
     config: RunConfig,
-) -> list[int]:
-    """Run the grounding calls and return the grounded frames (possibly [])."""
+) -> None:
+    """Set the grounded window from the grounding calls; when they ground
+    nothing, as the empty program does, it is the window's middle frame."""
     stage = "grounding"
     base = memory.frame_ids.to_list()
     base_set = set(base)
     event_sets: dict[str, set[int]] = {}
     shift_result: set[int] | None = None
-    try:
-        for name, args in _stage_calls(program, stage):
-            if name == "noop":
-                continue
-            elif name == "localize":
-                event = str(args[0])
-                matches = session.localize(video.video_id, event, base, stage="grounding")
-                matched = {entry[0] for entry in matches if entry[0] in base_set}
-                passed = {
-                    f
-                    for f in matched
-                    if session.score(video.video_id, f, event) >= config.score_threshold
-                }
-                event_sets[event] = event_sets[event] & passed if event in event_sets else passed
-            elif name == "verify_action":
-                event = str(args[0])
-                domain = sorted(event_sets[event]) if event in event_sets else base
-                kept = {
-                    f for f in domain if session.verify_action(video.video_id, f, event)
-                }
-                event_sets[event] = kept
-            elif name == "anchor_then_shift":
-                if len(memory.event_queue) < 2:
-                    raise StageError(
-                        stage, "bad_call", "anchor_then_shift requires two parsed events"
+    for name, args in _stage_calls(program, stage):
+        if name == "noop":
+            continue
+        elif name == "localize":
+            event = str(args[0])
+            matches = session.localize(video.video_id, event, base, stage="grounding")
+            matched = {entry[0] for entry in matches if entry[0] in base_set}
+            passed = {
+                f
+                for f in matched
+                if session.score(video.video_id, f, event) >= config.score_threshold
+            }
+            event_sets[event] = event_sets[event] & passed if event in event_sets else passed
+        elif name == "verify_action":
+            event = str(args[0])
+            domain = sorted(event_sets[event]) if event in event_sets else base
+            kept = {
+                f for f in domain if session.verify_action(video.video_id, f, event)
+            }
+            event_sets[event] = kept
+        elif name == "anchor_then_shift":
+            if len(memory.event_queue) < 2:
+                raise StageError(
+                    stage, "bad_call", "anchor_then_shift requires two parsed events"
+                )
+            target_event, anchor_event = memory.event_queue[0], memory.event_queue[1]
+            target = event_sets.get(target_event, set())
+            anchor = event_sets.get(anchor_event, set())
+            if anchor:
+                window = set(
+                    apply_conjunction(
+                        FrameWindow(tuple(sorted(anchor))),
+                        memory.conjunction,
+                        FrameWindow(tuple(base)),
                     )
-                target_event, anchor_event = memory.event_queue[0], memory.event_queue[1]
-                target = event_sets.get(target_event, set())
-                anchor = event_sets.get(anchor_event, set())
-                if anchor:
-                    window = set(
-                        apply_conjunction(
-                            FrameWindow(tuple(sorted(anchor))),
-                            memory.conjunction,
-                            FrameWindow(tuple(base)),
-                        )
-                    )
-                else:
-                    window = set(base)
-                narrowed = target & window
-                if narrowed:
-                    shift_result = narrowed
-                elif not target and anchor:
-                    shift_result = window
-                else:
-                    shift_result = target
+                )
             else:
-                raise StageError(stage, "unknown_call", f"unrecognized call {name!r}")
-    except ToolError as exc:
-        raise StageError(stage, "tool_error", str(exc)) from exc
+                window = set(base)
+            narrowed = target & window
+            if narrowed:
+                shift_result = narrowed
+            elif not target and anchor:
+                shift_result = window
+            else:
+                shift_result = target
+        else:
+            raise StageError(stage, "unknown_call", f"unrecognized call {name!r}")
     if shift_result is not None:
-        return sorted(shift_result)
-    if memory.event_queue and memory.event_queue[0] in event_sets:
-        return sorted(event_sets[memory.event_queue[0]])
-    if event_sets:
-        union: set[int] = set()
-        for grounded in event_sets.values():
-            union |= grounded
-        return sorted(union)
-    return []
+        grounded = shift_result
+    elif memory.event_queue and memory.event_queue[0] in event_sets:
+        grounded = event_sets[memory.event_queue[0]]
+    else:
+        grounded = set().union(*event_sets.values())
+    memory.grounded_window = FrameWindow(
+        tuple(sorted(grounded)) or (memory.frame_ids.middle_frame(),)
+    )
 
 
 def _ask_on_frames(
@@ -314,52 +316,38 @@ def _ask_on_frames(
         memory.extra[f"sq_{sub_index}_frame_{frame_id}"] = answer
 
 
-def execute_reasoning_program(
+def run_reasoning(
     program: Program,
     memory: MemoryState,
     video: VideoMeta,
     session: ToolSession,
-) -> int:
-    """Run the reasoning calls; returns how many subquestions were asked."""
+    config: RunConfig,
+) -> None:
+    """Register and ask the subquestions on the grounded frames; when none is
+    registered, as with the empty program, ask the (possibly revised)
+    question itself."""
     stage = "reasoning"
     grounded = memory.grounded_window or FrameWindow()
     registered: list[str] = []
-    try:
-        for name, args in _stage_calls(program, stage):
-            if name == "noop":
-                continue
-            elif name == "subquestion":
-                question = str(args[0])
-                if question not in registered:
-                    registered.append(question)
-                    memory.extra[f"sq_{registered.index(question)}"] = question
-            elif name == "vqa_on_grounded":
-                question = str(args[0])
-                if question not in registered:
-                    registered.append(question)
-                _ask_on_frames(
-                    memory, video, session, registered.index(question), question, grounded
-                )
-            else:
-                raise StageError(stage, "unknown_call", f"unrecognized call {name!r}")
-    except ToolError as exc:
-        raise StageError(stage, "tool_error", str(exc)) from exc
-    return len(registered)
-
-
-def question_only_vqa(memory: MemoryState, video: VideoMeta, session: ToolSession) -> None:
-    """Ask the (possibly revised) question itself on every grounded frame."""
-    grounded = memory.grounded_window or FrameWindow()
-    _ask_on_frames(memory, video, session, 0, memory.question, grounded)
-
-
-# --- stage runners ---
-
-def init_memory(qa: QAItem, video: VideoMeta) -> MemoryState:
-    return MemoryState(
-        frame_ids=FrameWindow.full(video.frame_count),
-        question=qa.question,
-    )
+    for name, args in _stage_calls(program, stage):
+        if name == "noop":
+            continue
+        elif name == "subquestion":
+            question = str(args[0])
+            if question not in registered:
+                registered.append(question)
+                memory.extra[f"sq_{registered.index(question)}"] = question
+        elif name == "vqa_on_grounded":
+            question = str(args[0])
+            if question not in registered:
+                registered.append(question)
+            _ask_on_frames(
+                memory, video, session, registered.index(question), question, grounded
+            )
+        else:
+            raise StageError(stage, "unknown_call", f"unrecognized call {name!r}")
+    if not registered:
+        _ask_on_frames(memory, video, session, 0, memory.question, grounded)
 
 
 def _plan_and_parse(
@@ -380,102 +368,6 @@ def _plan_and_parse(
     return prompt, program_text, program
 
 
-def _finish_record(
-    stage: str,
-    prompt: str,
-    program_text: str,
-    program: Program | None,
-    session: ToolSession,
-    trace_start: int,
-    before: dict[str, Any],
-    memory: MemoryState,
-) -> StageRecord:
-    return StageRecord(
-        stage_name=stage,
-        planner_prompt=prompt,
-        emitted_program=program_text,
-        parsed_program=render(program) if program is not None else None,
-        tool_calls=list(session.trace[trace_start:]),
-        memory_before=before,
-        memory_after=memory.to_json_dict(),
-    )
-
-
-def run_event_parsing(
-    qa: QAItem,
-    video: VideoMeta,
-    planner,
-    session: ToolSession,
-    config: RunConfig,
-) -> StageResult:
-    memory = init_memory(qa, video)
-    before = memory.to_json_dict()
-    trace_start = len(session.trace)
-    prompt, program_text, program = _plan_and_parse(
-        "event_parsing", memory, planner, session, video
-    )
-    execute_event_parsing_program(program, memory, config)
-    record = _finish_record(
-        "event_parsing", prompt, program_text, program, session, trace_start, before, memory
-    )
-    return StageResult(record, memory)
-
-
-def run_grounding(
-    memory: MemoryState,
-    video: VideoMeta,
-    planner,
-    session: ToolSession,
-    config: RunConfig,
-) -> StageResult:
-    before = memory.to_json_dict()
-    trace_start = len(session.trace)
-    prompt, program_text, program = _plan_and_parse("grounding", memory, planner, session, video)
-    grounded = execute_grounding_program(program, memory, video, session, config)
-    if not grounded:
-        # nothing grounded: fall back to the single middle frame
-        grounded = [memory.frame_ids.middle_frame()]
-    memory.grounded_window = FrameWindow(tuple(grounded))
-    record = _finish_record(
-        "grounding", prompt, program_text, program, session, trace_start, before, memory
-    )
-    return StageResult(record, memory)
-
-
-def run_reasoning(
-    memory: MemoryState,
-    video: VideoMeta,
-    planner,
-    session: ToolSession,
-    config: RunConfig,
-) -> StageResult:
-    before = memory.to_json_dict()
-    trace_start = len(session.trace)
-    prompt, program_text, program = _plan_and_parse("reasoning", memory, planner, session, video)
-    asked = execute_reasoning_program(program, memory, video, session)
-    if asked == 0:
-        try:
-            question_only_vqa(memory, video, session)
-        except ToolError as exc:
-            raise StageError("reasoning", "tool_error", str(exc)) from exc
-    record = _finish_record(
-        "reasoning", prompt, program_text, program, session, trace_start, before, memory
-    )
-    return StageResult(record, memory)
-
-
-def _disabled_record(stage: str, memory: MemoryState, before: dict[str, Any]) -> StageRecord:
-    return StageRecord(
-        stage_name=stage,
-        planner_prompt="",
-        emitted_program="",
-        parsed_program=None,
-        tool_calls=[],
-        memory_before=before,
-        memory_after=memory.to_json_dict(),
-    )
-
-
 # --- context assembly and prediction ---
 
 _EXTRA_KEY_KINDS = ("caption", "grounded_vqa")
@@ -488,17 +380,14 @@ def build_context(
     if n < 1:
         raise ValueError("n must be >= 1")
     entries: list[dict[str, Any]] = []
-    try:
-        for frame_id in uniform_sample(video.frame_count, n):
-            entries.append(
-                {
-                    "frame_id": frame_id,
-                    "kind": "caption",
-                    "text": session.caption(video.video_id, frame_id),
-                }
-            )
-    except ToolError as exc:
-        raise StageError("prediction", "tool_error", str(exc)) from exc
+    for frame_id in uniform_sample(video.frame_count, n):
+        entries.append(
+            {
+                "frame_id": frame_id,
+                "kind": "caption",
+                "text": session.caption(video.video_id, frame_id),
+            }
+        )
     for key, answer in memory.extra.items():
         parts = key.split("_frame_")
         if len(parts) != 2 or not parts[0].startswith("sq_"):
@@ -540,6 +429,17 @@ def map_reply_to_candidate(reply: str, candidates: tuple[str, ...]) -> int:
     return best_idx
 
 
+def answer_from_reply(
+    reply: str, candidates: tuple[str, ...] | None
+) -> tuple[str, int | None]:
+    """The candidate a reply maps to and its index; an open-ended question
+    (no candidates) takes the reply itself."""
+    if not candidates:
+        return reply, None
+    idx = map_reply_to_candidate(reply, candidates)
+    return candidates[idx], idx
+
+
 def final_predict(
     context: ContextBlock,
     qa: QAItem,
@@ -552,14 +452,8 @@ def final_predict(
     if extra_lines:
         context_lines = context_lines + extra_lines
     prompt = build_predict_prompt(qa.question, qa.candidates, context_lines)
-    try:
-        reply = session.complete(prompt, video_id)
-    except ToolError as exc:
-        raise StageError("prediction", "tool_error", str(exc)) from exc
-    if qa.candidates:
-        idx = map_reply_to_candidate(reply, qa.candidates)
-        return qa.candidates[idx], idx, prompt, reply
-    return reply, None, prompt, reply
+    reply = session.complete(prompt, video_id)
+    return (*answer_from_reply(reply, qa.candidates), prompt, reply)
 
 
 # --- full pipeline ---
@@ -571,65 +465,57 @@ def run_morevqa(
     planner,
     session: ToolSession,
 ) -> RunOutcome:
-    """Run the enabled stages, assemble context, and predict.
+    """Run the three stages over one memory, assemble context, and predict.
 
-    Stage errors abort the item with a structured failure record instead of
-    raising, so evaluation can score the item as incorrect and move on.
+    Every stage leaves a record; a disabled stage runs the empty program.
+    Stage and tool errors abort the item with a structured failure record
+    instead of raising, so evaluation can score the item as incorrect and
+    move on.
     """
     records: list[StageRecord] = []
     timings: dict[str, float] = {}
-    m1, m2, m3 = config.stage_mask
-
-    def clock(stage: str, started: float) -> None:
-        timings[stage] = (time.perf_counter() - started) * 1000.0
-
+    memory = MemoryState(frame_ids=FrameWindow.full(video.frame_count), question=qa.question)
+    # the runners are looked up here, at call time, so that a wrapper bound
+    # in their place (a tracer, say) runs too
+    stages = (
+        ("event_parsing", run_event_parsing, config.stage_mask[0]),
+        ("grounding", run_grounding, config.stage_mask[1]),
+        # with every stage off, reasoning does not even ask the question
+        ("reasoning", run_reasoning if any(config.stage_mask) else lambda *_: None,
+         config.stage_mask[2]),
+    )
     try:
-        tick = time.perf_counter()
-        if m1:
-            result = run_event_parsing(qa, video, planner, session, config)
-            memory = result.memory
-            records.append(result.record)
-        else:
-            memory = init_memory(qa, video)
-            records.append(_disabled_record("event_parsing", memory, memory.to_json_dict()))
-        clock("event_parsing", tick)
-
-        tick = time.perf_counter()
-        if m2:
-            records.append(run_grounding(memory, video, planner, session, config).record)
-        else:
-            before = memory.to_json_dict()
-            memory.grounded_window = FrameWindow((memory.frame_ids.middle_frame(),))
-            records.append(_disabled_record("grounding", memory, before))
-        clock("grounding", tick)
-
-        full_grounded = memory.grounded_window
-        if config.grounded_to_prediction_only and memory.frame_ids:
-            # ablation: reasoning sees only the ungrounded middle frame
-            memory.grounded_window = FrameWindow((memory.frame_ids.middle_frame(),))
-
-        tick = time.perf_counter()
-        if m3:
-            records.append(run_reasoning(memory, video, planner, session, config).record)
-        elif m1 or m2:
-            # retain the final VQA with the question itself, without
-            # supporting questions
+        for stage, runner, enabled in stages:
+            tick = time.perf_counter()
+            if stage == "reasoning":
+                full_grounded = memory.grounded_window
+                if config.grounded_to_prediction_only and memory.frame_ids:
+                    # ablation: reasoning sees only the ungrounded middle frame
+                    memory.grounded_window = FrameWindow((memory.frame_ids.middle_frame(),))
             before = memory.to_json_dict()
             trace_start = len(session.trace)
-            try:
-                question_only_vqa(memory, video, session)
-            except ToolError as exc:
-                raise StageError("reasoning", "tool_error", str(exc)) from exc
-            record = _disabled_record("reasoning", memory, before)
-            record.tool_calls = list(session.trace[trace_start:])
-            records.append(record)
-        else:
-            records.append(_disabled_record("reasoning", memory, memory.to_json_dict()))
-        clock("reasoning", tick)
+            prompt, program_text, program = "", "", Program()
+            if enabled:
+                prompt, program_text, program = _plan_and_parse(
+                    stage, memory, planner, session, video
+                )
+            runner(program, memory, video, session, config)
+            records.append(
+                StageRecord(
+                    stage_name=stage,
+                    planner_prompt=prompt,
+                    emitted_program=program_text,
+                    parsed_program=render(program) if enabled else None,
+                    tool_calls=session.trace[trace_start:],
+                    memory_before=before,
+                    memory_after=memory.to_json_dict(),
+                )
+            )
+            timings[stage] = (time.perf_counter() - tick) * 1000.0
 
-        memory.grounded_window = full_grounded
-
+        stage = "prediction"
         tick = time.perf_counter()
+        memory.grounded_window = full_grounded
         context = build_context(memory, video, session, config.n_context_frames)
         extra_lines = None
         if config.grounded_to_prediction_only and full_grounded is not None:
@@ -649,7 +535,12 @@ def run_morevqa(
                 memory_after=final_memory,
             )
         )
-        clock("prediction", tick)
+        timings[stage] = (time.perf_counter() - tick) * 1000.0
+    except ToolError as exc:
+        failure = {"stage": stage, "kind": "tool_error", "message": str(exc)}
+    except StageError as exc:
+        failure = {"stage": exc.stage, "kind": exc.kind, "message": exc.message}
+    else:
         grounded_s = (
             window_to_seconds(memory.grounded_window, video.fps)
             if memory.grounded_window and len(memory.grounded_window)
@@ -664,12 +555,11 @@ def run_morevqa(
             prediction_prompt=prompt,
             stage_timings_ms=timings,
         )
-    except StageError as exc:
-        return RunOutcome(
-            answer="",
-            mc_index=None,
-            grounded_window=None,
-            grounded_window_s=None,
-            stage_records=records,
-            failure={"stage": exc.stage, "kind": exc.kind, "message": exc.message},
-        )
+    return RunOutcome(
+        answer="",
+        mc_index=None,
+        grounded_window=None,
+        grounded_window_s=None,
+        stage_records=records,
+        failure=failure,
+    )

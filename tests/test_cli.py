@@ -205,6 +205,23 @@ def test_config_file_and_flag_override(oracle_dir, tmp_path, capsys):
     assert summary["items"] == 30
 
 
+def test_config_keys_feed_their_config(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("fps_caption=2.0\nn_context_frames=8\nworkers=3\n", encoding="utf-8")
+    run_config, jcef_config, workers = cli._build_configs(str(config))
+    assert jcef_config.fps_caption == 2.0
+    assert run_config.n_context_frames == 8
+    assert workers == 3
+
+
+@pytest.mark.parametrize("line", ["seed=0", "decode_temperature=0.0"])
+def test_config_keys_that_nothing_reads_are_unknown(tmp_path, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(cli.CliError, match="unknown config key"):
+        cli._build_configs(str(config))
+
+
 def test_config_unknown_key_is_fatal(oracle_dir, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("definitely_not_a_key=1\n", encoding="utf-8")

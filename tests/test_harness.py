@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from morevqa.baselines import JcefConfig
 from morevqa.core import QAItem, RunConfig
+from morevqa.tools import RecordingBackend, ReplayBackend
 from morevqa.harness import (
     DatasetError,
     EvalItem,
@@ -185,6 +186,27 @@ def test_run_eval_failures_scored_zero(oracle_dir, oracle_bundle, mock_backend):
     assert summary["failure_rate"] == pytest.approx(len(failed) / len(items))
     assert "missing_program" in summary["failures_by_kind"]
     assert "runtime_unbound" in summary["failures_by_kind"]
+
+
+def test_replay_miss_fails_the_item_with_its_error_type(
+    oracle_dir, oracle_bundle, mock_backend, tmp_path
+):
+    items = _items(oracle_dir)[:2]
+    recorder = RecordingBackend(mock_backend, tmp_path / "rec.jsonl")
+    try:
+        run_eval(items[:1], "morevqa", recorder, oracle_bundle.fixtures)
+    finally:
+        recorder.close()
+    results, summary = run_eval(
+        items, "morevqa", ReplayBackend(tmp_path / "rec.jsonl"), oracle_bundle.fixtures
+    )
+    assert results[0].failure is None
+    failure = results[1].failure
+    assert failure["kind"] == "item_error"
+    assert failure["error_type"] == "ReplayMissError"
+    assert failure["message"].startswith("replay miss:")
+    assert results[1].correct == 0.0
+    assert summary["failures_by_kind"] == {"item_error": 1}
 
 
 def test_run_eval_permutation_leaves_aggregates(oracle_dir, oracle_bundle, mock_backend):

@@ -1,5 +1,6 @@
 """Micro-benchmarks of the per-item hot path: plan text to AST and back, the
-content key of a tool request, and a replayed caption through a session.
+content key of a tool request, a replayed caption through a session, context
+assembly, and one whole oracle item through `run_morevqa` on the mock.
 
 The default run executes each case once, as a test (`--benchmark-disable` in
 pyproject). To time them:
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from morevqa.core import FrameWindow, MemoryState
+from morevqa.core import FrameWindow, MemoryState, QAItem, RunConfig
 from morevqa.lang import FLAT, parse, render
+from morevqa.pipeline import RuleBasedPlanner, build_context, run_morevqa
 from morevqa.planner import rule_plan
 from morevqa.tools import RecordingBackend, ReplayBackend, ToolSession, canonical_args
 
@@ -51,3 +53,28 @@ def test_bench_replayed_caption(benchmark, tmp_path, mock_backend):
         return session.caption("v000", 3)
 
     assert benchmark(caption) == expected
+
+
+def test_bench_build_context(benchmark, oracle_bundle, mock_backend):
+    video = oracle_bundle.fixtures["v000"].video_meta()
+    memory = MemoryState(FrameWindow.full(video.frame_count), QUESTION)
+    memory.extra.update({"sq_0": "what is the man doing?", "sq_0_frame_14": "smiling"})
+    session = ToolSession(mock_backend)
+
+    def context():
+        session.trace.clear()
+        return build_context(memory, video, session, 16)
+
+    assert len(benchmark(context).entries) == 17
+
+
+def test_bench_run_morevqa_item(benchmark, oracle_bundle, mock_backend):
+    row = oracle_bundle.rows[4]  # a two-event conjunction item: every stage does work
+    video = oracle_bundle.fixtures[row["video_id"]].video_meta()
+    qa = QAItem(row["question"], tuple(row["candidates"]), row["answer_mc"])
+
+    def item():
+        return run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
+
+    outcome = benchmark(item)
+    assert outcome.failure is None and outcome.mc_index == qa.answer_mc

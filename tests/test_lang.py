@@ -99,7 +99,9 @@ def test_parse_error_positions():
     ("f(\u0663)", 3),  # so is an Arabic-Indic three; literals take ASCII digits only
     ("f(1\u00b2)", 4),
     ("f(" + "9" * 5000 + ")", 3),  # past the int-string conversion limit
-], ids=["superscript", "arabic-indic", "digit-superscript", "too-long"])
+    ("f(1e400)", 3),  # overflows to inf, which would render as the name `inf`
+    ("f(1, -1e400)", 6),
+], ids=["superscript", "arabic-indic", "digit-superscript", "too-long", "inf", "minus-inf"])
 def test_bad_number_is_a_parse_error(text, col):
     with pytest.raises(ParseError) as err:
         parse(text, FLAT)

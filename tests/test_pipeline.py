@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -14,15 +15,16 @@ from morevqa.core import (
     TemporalConjunction,
     TemporalRegion,
 )
-from morevqa.lang import FLAT, parse
+from morevqa.lang import FLAT, Program, parse
 from morevqa.pipeline import (
     ContextBlock,
     RuleBasedPlanner,
     LlmBackedPlanner,
+    StageError,
+    answer_from_reply,
     apply_conjunction,
     apply_trim,
     build_context,
-    execute_event_parsing_program,
     final_predict,
     map_reply_to_candidate,
     run_event_parsing,
@@ -31,6 +33,12 @@ from morevqa.pipeline import (
     run_reasoning,
 )
 from morevqa.tools import ToolSession
+
+RUNNERS = {
+    "event_parsing": run_event_parsing,
+    "grounding": run_grounding,
+    "reasoning": run_reasoning,
+}
 
 
 def _qa(bundle, index):
@@ -46,6 +54,25 @@ def _qa(bundle, index):
 
 def _video(bundle, index):
     return bundle.fixtures[bundle.rows[index]["video_id"]].video_meta()
+
+
+def _memory(qa, video):
+    return MemoryState(frame_ids=FrameWindow.full(video.frame_count), question=qa.question)
+
+
+def _run_stage(stage, memory, video, session, config=None):
+    """Plan one stage with the rule planner and run its program on the
+    memory; returns the emitted program text."""
+    _, text = RuleBasedPlanner().plan(stage, memory, session, video.video_id)
+    RUNNERS[stage](parse(text, FLAT), memory, video, session, config or RunConfig())
+    return text
+
+
+def _run_stages(stages, qa, video, session, config=None):
+    memory = _memory(qa, video)
+    for stage in stages:
+        _run_stage(stage, memory, video, session, config)
+    return memory
 
 
 # --- trim ---
@@ -121,40 +148,40 @@ def test_apply_conjunction_subset_of_universe(ids, data, conj):
 def test_event_parsing_why_end(oracle_bundle, mock_backend):
     qa = QAItem(question="why is the cat lying on its back at the end of the video?")
     video = _video(oracle_bundle, 0)
-    result = run_event_parsing(qa, video, RuleBasedPlanner(), ToolSession(mock_backend), RunConfig())
-    assert 'trim("end")' in result.record.emitted_program
-    assert 'classify("why")' in result.record.emitted_program
-    assert result.memory.qa_type is QAType.WHY
-    assert result.memory.event_queue == ["cat lying on its back"]
-    assert result.memory.frame_ids.to_list() == list(range(19, 32))
-    assert result.record.memory_before["frame_ids"] == list(range(32))
+    session = ToolSession(mock_backend)
+    memory = _memory(qa, video)
+    emitted = _run_stage("event_parsing", memory, video, session)
+    assert 'trim("end")' in emitted
+    assert 'classify("why")' in emitted
+    assert memory.qa_type is QAType.WHY
+    assert memory.event_queue == ["cat lying on its back"]
+    assert memory.frame_ids.to_list() == list(range(19, 32))
+    record = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), session).stage_records[0]
+    assert record.emitted_program == emitted
+    assert record.memory_before["frame_ids"] == list(range(32))
 
 
 def test_event_parsing_simple_question_keeps_window(oracle_bundle, mock_backend):
     qa = QAItem(question="what is in the background?")
     video = _video(oracle_bundle, 0)
-    result = run_event_parsing(qa, video, RuleBasedPlanner(), ToolSession(mock_backend), RunConfig())
-    assert result.memory.event_queue == []
-    assert result.memory.frame_ids == FrameWindow.full(32)
-    assert result.memory.qa_type is QAType.WHAT
+    memory = _run_stages(["event_parsing"], qa, video, ToolSession(mock_backend))
+    assert memory.event_queue == []
+    assert memory.frame_ids == FrameWindow.full(32)
+    assert memory.qa_type is QAType.WHAT
 
 
 def test_event_parsing_unknown_call_is_stage_error():
     memory = MemoryState(frame_ids=FrameWindow.full(8), question="q")
-    from morevqa.pipeline import StageError
-
     with pytest.raises(StageError) as err:
-        execute_event_parsing_program(parse("explode()", FLAT), memory, RunConfig())
+        run_event_parsing(parse("explode()", FLAT), memory, None, None, RunConfig())
     assert err.value.kind == "unknown_call"
 
 
 def test_event_parsing_event_overflow():
     memory = MemoryState(frame_ids=FrameWindow.full(8), question="q")
     program = parse('\n'.join(f'parse_event("e{i}")' for i in range(3)), FLAT)
-    from morevqa.pipeline import StageError
-
     with pytest.raises(StageError) as err:
-        execute_event_parsing_program(program, memory, RunConfig())
+        run_event_parsing(program, memory, None, None, RunConfig())
     assert err.value.kind == "event_overflow"
 
 
@@ -162,7 +189,9 @@ def test_noop_program_leaves_memory_identical():
     config = RunConfig()
     memory = MemoryState(frame_ids=FrameWindow.full(8), question="q")
     snapshot = memory.to_json_dict()
-    execute_event_parsing_program(parse("noop()", FLAT), memory, config)
+    run_event_parsing(parse("noop()", FLAT), memory, None, None, config)
+    assert memory.to_json_dict() == snapshot
+    run_event_parsing(Program(), memory, None, None, config)
     assert memory.to_json_dict() == snapshot
 
 
@@ -173,11 +202,11 @@ def test_grounding_verified_frames(oracle_bundle, mock_backend):
     qa = _qa(oracle_bundle, 1)
     video = _video(oracle_bundle, 1)
     session = ToolSession(mock_backend)
-    config = RunConfig()
-    stage1 = run_event_parsing(qa, video, RuleBasedPlanner(), session, config)
-    stage2 = run_grounding(stage1.memory, video, RuleBasedPlanner(), session, config)
-    assert stage2.memory.grounded_window.to_list() == [22, 26]
-    methods = [c["method"] for c in stage2.record.tool_calls]
+    memory = _run_stages(["event_parsing"], qa, video, session)
+    start = len(session.trace)
+    _run_stage("grounding", memory, video, session)
+    assert memory.grounded_window.to_list() == [22, 26]
+    methods = [c["method"] for c in session.trace[start:]]
     assert "localize" in methods and "verify_action" in methods and "score" in methods
 
 
@@ -185,11 +214,20 @@ def test_grounding_empty_queue_middle_frame(oracle_bundle, mock_backend):
     qa = QAItem(question="what is in the background?")
     video = _video(oracle_bundle, 0)
     session = ToolSession(mock_backend)
-    config = RunConfig()
-    stage1 = run_event_parsing(qa, video, RuleBasedPlanner(), session, config)
-    stage2 = run_grounding(stage1.memory, video, RuleBasedPlanner(), session, config)
-    assert stage2.memory.grounded_window.to_list() == [16]
-    assert stage2.record.emitted_program == "noop()"
+    memory = _run_stages(["event_parsing"], qa, video, session)
+    assert _run_stage("grounding", memory, video, session) == "noop()"
+    assert memory.grounded_window.to_list() == [16]
+
+
+def test_grounding_empty_program_is_the_middle_frame(oracle_bundle, mock_backend):
+    qa = _qa(oracle_bundle, 1)
+    video = _video(oracle_bundle, 1)
+    session = ToolSession(mock_backend)
+    memory = _run_stages(["event_parsing"], qa, video, session)
+    start = len(session.trace)
+    run_grounding(Program(), memory, video, session, RunConfig())
+    assert memory.grounded_window.to_list() == [memory.frame_ids.middle_frame()] == [25]
+    assert session.trace[start:] == []
 
 
 def test_grounding_two_events_after(oracle_bundle, mock_backend):
@@ -197,11 +235,10 @@ def test_grounding_two_events_after(oracle_bundle, mock_backend):
     qa = _qa(oracle_bundle, 4)
     video = _video(oracle_bundle, 4)
     session = ToolSession(mock_backend)
-    config = RunConfig()
-    stage1 = run_event_parsing(qa, video, RuleBasedPlanner(), session, config)
-    assert stage1.memory.conjunction is TemporalConjunction.AFTER
-    stage2 = run_grounding(stage1.memory, video, RuleBasedPlanner(), session, config)
-    grounded = stage2.memory.grounded_window.to_list()
+    memory = _run_stages(["event_parsing"], qa, video, session)
+    assert memory.conjunction is TemporalConjunction.AFTER
+    _run_stage("grounding", memory, video, session)
+    grounded = memory.grounded_window.to_list()
     assert grounded == [20, 22]
     assert all(f > 7 for f in grounded)  # strictly after the last anchor frame
 
@@ -211,23 +248,21 @@ def test_grounding_subset_of_frame_ids(oracle_bundle, mock_backend):
         qa = _qa(oracle_bundle, index)
         video = _video(oracle_bundle, index)
         session = ToolSession(mock_backend)
-        config = RunConfig()
-        stage1 = run_event_parsing(qa, video, RuleBasedPlanner(), session, config)
-        assert set(stage1.memory.frame_ids) <= set(range(video.frame_count))
-        stage2 = run_grounding(stage1.memory, video, RuleBasedPlanner(), session, config)
-        assert set(stage2.memory.grounded_window) <= set(stage1.memory.frame_ids)
+        memory = _run_stages(["event_parsing"], qa, video, session)
+        assert set(memory.frame_ids) <= set(range(video.frame_count))
+        _run_stage("grounding", memory, video, session)
+        assert set(memory.grounded_window) <= set(memory.frame_ids)
 
 
 # --- stage 3 ---
 
+ALL_STAGES = ["event_parsing", "grounding", "reasoning"]
+
+
 def test_reasoning_why_subquestions(oracle_bundle, mock_backend):
     qa = _qa(oracle_bundle, 0)
     video = _video(oracle_bundle, 0)
-    session = ToolSession(mock_backend)
-    config = RunConfig()
-    memory = run_event_parsing(qa, video, RuleBasedPlanner(), session, config).memory
-    run_grounding(memory, video, RuleBasedPlanner(), session, config)
-    result = run_reasoning(memory, video, RuleBasedPlanner(), session, config)
+    memory = _run_stages(ALL_STAGES, qa, video, ToolSession(mock_backend))
     subqs = [v for k, v in memory.extra.items() if "_frame_" not in k]
     assert any("doing?" in s for s in subqs)
     assert any("interacting with?" in s for s in subqs)
@@ -237,13 +272,24 @@ def test_reasoning_why_subquestions(oracle_bundle, mock_backend):
 def test_reasoning_zero_subquestions_asks_question(oracle_bundle, mock_backend):
     qa = QAItem(question="what is in the background?")
     video = _video(oracle_bundle, 0)
-    session = ToolSession(mock_backend)
-    config = RunConfig()
-    memory = run_event_parsing(qa, video, RuleBasedPlanner(), session, config).memory
-    run_grounding(memory, video, RuleBasedPlanner(), session, config)
-    run_reasoning(memory, video, RuleBasedPlanner(), session, config)
+    memory = _run_stages(ALL_STAGES, qa, video, ToolSession(mock_backend))
     assert memory.extra["sq_0"] == "what is in the background?"
     assert any(k.startswith("sq_0_frame_") for k in memory.extra)
+
+
+def test_reasoning_empty_program_asks_the_question_on_grounded_frames(
+    oracle_bundle, mock_backend
+):
+    qa = _qa(oracle_bundle, 1)
+    video = _video(oracle_bundle, 1)
+    session = ToolSession(mock_backend)
+    memory = _run_stages(ALL_STAGES[:2], qa, video, session)
+    start = len(session.trace)
+    run_reasoning(Program(), memory, video, session, RunConfig())
+    asked = session.trace[start:]
+    assert [c["args"]["frame_id"] for c in asked] == memory.grounded_window.to_list()
+    assert all(c["args"]["question"] == memory.question for c in asked)
+    assert memory.extra["sq_0"] == memory.question
 
 
 def test_reasoning_ocr_prefix_on_every_vqa(oracle_bundle, mock_backend):
@@ -251,11 +297,10 @@ def test_reasoning_ocr_prefix_on_every_vqa(oracle_bundle, mock_backend):
     qa = _qa(oracle_bundle, index)
     video = _video(oracle_bundle, index)
     session = ToolSession(mock_backend)
-    config = RunConfig()
-    memory = run_event_parsing(qa, video, RuleBasedPlanner(), session, config).memory
+    memory = _run_stages(["event_parsing"], qa, video, session)
     assert memory.require_ocr
-    run_grounding(memory, video, RuleBasedPlanner(), session, config)
-    run_reasoning(memory, video, RuleBasedPlanner(), session, config)
+    _run_stage("grounding", memory, video, session)
+    _run_stage("reasoning", memory, video, session)
     vqa_calls = [c for c in session.trace if c["method"] == "vqa"]
     assert vqa_calls
     assert all(c["args"].get("prefix") == "ocr" for c in vqa_calls)
@@ -294,6 +339,12 @@ def test_map_reply_overlap_and_exact():
     assert map_reply_to_candidate("green turtle", candidates) == 1
     assert map_reply_to_candidate("a very red fox indeed", candidates) == 2
     assert map_reply_to_candidate("nothing matches", candidates) == 0  # falls back, never errors
+
+
+def test_answer_from_reply_maps_or_passes_through():
+    candidates = ("blue bird", "green turtle")
+    assert answer_from_reply("a green turtle", candidates) == ("green turtle", 1)
+    assert answer_from_reply("a green turtle", None) == ("a green turtle", None)
 
 
 def test_final_predict_single_candidate(oracle_bundle, mock_backend):
@@ -422,43 +473,21 @@ class _RecordedCallSession:
 
 def test_stage_records_replay_to_memory_after(oracle_bundle, mock_backend):
     """memory_after must be reachable from memory_before by re-running the
-    recorded program against the recorded tool results."""
-    from morevqa.core import MemoryState
-    from morevqa.pipeline import (
-        execute_grounding_program,
-        execute_reasoning_program,
-        question_only_vqa,
-    )
-
-    config = RunConfig()
-    for index in (0, 1, 4, 5, 6):
+    recorded program (the empty one for a disabled stage) against the
+    recorded tool results."""
+    masks = [(True, True, True), (True, False, True), (True, True, False), (False, False, True)]
+    for mask, index in itertools.product(masks, (0, 1, 4, 5, 6)):
+        config = RunConfig(stage_mask=mask)
         qa = _qa(oracle_bundle, index)
         video = _video(oracle_bundle, index)
         out = run_morevqa(video, qa, config, RuleBasedPlanner(), ToolSession(mock_backend))
-        parsing, grounding, reasoning, _ = out.stage_records
-
-        memory = MemoryState.from_json_dict(parsing.memory_before)
-        execute_event_parsing_program(parse(parsing.parsed_program, FLAT), memory, config)
-        assert memory.to_json_dict() == parsing.memory_after
-
-        memory = MemoryState.from_json_dict(grounding.memory_before)
-        replay = _RecordedCallSession(grounding.tool_calls)
-        grounded = execute_grounding_program(
-            parse(grounding.parsed_program, FLAT), memory, video, replay, config
-        )
-        if not grounded:
-            grounded = [memory.frame_ids.middle_frame()]
-        memory.grounded_window = FrameWindow(tuple(grounded))
-        assert memory.to_json_dict() == grounding.memory_after
-
-        memory = MemoryState.from_json_dict(reasoning.memory_before)
-        replay = _RecordedCallSession(reasoning.tool_calls)
-        asked = execute_reasoning_program(
-            parse(reasoning.parsed_program, FLAT), memory, video, replay
-        )
-        if asked == 0:
-            question_only_vqa(memory, video, replay)
-        assert memory.to_json_dict() == reasoning.memory_after
+        for record in out.stage_records[:3]:
+            memory = MemoryState.from_json_dict(record.memory_before)
+            replay = _RecordedCallSession(record.tool_calls)
+            program = parse(record.parsed_program, FLAT) if record.parsed_program else Program()
+            RUNNERS[record.stage_name](program, memory, video, replay, config)
+            assert memory.to_json_dict() == record.memory_after
+            assert replay.queue == []
 
 
 def test_grounded_to_prediction_only_flag(oracle_bundle, mock_backend):

@@ -139,7 +139,7 @@ def test_emitted_programs_always_parse(stage, oracle_bundle):
             # populate the memory the way stage 1 would
             program = parse(rule_plan("event_parsing", memory), FLAT)
             from morevqa.core import RunConfig
-            from morevqa.pipeline import execute_event_parsing_program
+            from morevqa.pipeline import run_event_parsing
 
-            execute_event_parsing_program(program, memory, RunConfig())
+            run_event_parsing(program, memory, None, None, RunConfig())
         parse(rule_plan(stage, memory), FLAT)
