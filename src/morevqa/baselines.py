@@ -111,20 +111,20 @@ def make_program_tools(session: ToolSession, video: VideoMeta, qa: QAItem) -> di
     all_frames = list(range(video.frame_count))
 
     def localize(phrase: str) -> list[int]:
-        found = session.localize(video.video_id, str(phrase), all_frames, stage="single_stage")
+        found = session.localize(video.video_id, phrase, all_frames, stage="single_stage")
         return [entry[0] for entry in found]
 
     def verify_action(frame_id: int, action: str) -> bool:
-        return session.verify_action(video.video_id, int(frame_id), str(action))
+        return session.verify_action(video.video_id, frame_id, action)
 
     def caption(frame_id: int) -> str:
-        return session.caption(video.video_id, int(frame_id))
+        return session.caption(video.video_id, frame_id)
 
     def vqa(frame_id: int, question: str) -> str:
-        return session.vqa(video.video_id, int(frame_id), str(question))
+        return session.vqa(video.video_id, frame_id, question)
 
     def score(frame_id: int, text: str) -> float:
-        return session.score(video.video_id, int(frame_id), str(text))
+        return session.score(video.video_id, frame_id, text)
 
     def llm_query(question: str, infos: Any = None) -> str:
         if infos is None:

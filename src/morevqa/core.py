@@ -181,9 +181,6 @@ class MemoryState:
             grounded_window=FrameWindow(tuple(grounded)) if grounded is not None else None,
         )
 
-    def clone(self) -> "MemoryState":
-        return MemoryState.from_json_dict(self.to_json_dict())
-
 
 STAGE_NAMES = ("event_parsing", "grounding", "reasoning", "prediction")
 

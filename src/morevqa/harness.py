@@ -371,16 +371,17 @@ def run_eval(
                 system, item, video, backend, run_config, jcef_config, dataset_dir, planner
             )
         except Exception as exc:  # per-item failures are recorded, not fatal
+            failure = {"kind": "item_error", "error_type": type(exc).__name__,
+                       "message": str(exc)}
             return EvalResult(
                 item=item,
                 predicted_answer="",
                 mc_index=None,
                 correct=0.0,
                 pred_window_s=None,
-                failure={"kind": "item_error", "error_type": type(exc).__name__,
-                         "message": str(exc)},
+                failure=failure,
                 trace={"system": system, "video_id": item.video_id,
-                       "question": item.qa.question, "failure": str(exc)},
+                       "question": item.qa.question, "failure": failure},
             )
 
     if workers > 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from enum import Enum
 from typing import Any
 
 from .core import (
@@ -33,7 +34,6 @@ from .lang import (
     CallStmt,
     FloatLit,
     IntLit,
-    ListLit,
     ParseError,
     Program,
     StringLit,
@@ -101,7 +101,7 @@ class RuleBasedPlanner:
     def plan(self, stage: str, memory: MemoryState, session: ToolSession,
              video_id: str | None) -> tuple[str, str]:
         prompt = build_planner_prompt(stage, memory)
-        return prompt, rule_plan(stage, memory, memory.question)
+        return prompt, rule_plan(stage, memory)
 
 
 class LlmBackedPlanner:
@@ -169,20 +169,68 @@ def apply_conjunction(
 # stage's fallback. A disabled stage runs the empty program, so the fallback
 # is also that stage's ablation.
 
-def _literal_value(expr: Any, stage: str) -> Any:
-    if isinstance(expr, (StringLit, IntLit, FloatLit, BoolLit)):
-        return expr.value
-    if isinstance(expr, ListLit):
-        return [_literal_value(item, stage) for item in expr.items]
-    raise StageError(stage, "bad_argument", "stage program arguments must be literals")
+# What each stage program may call, and the type of each argument. A planner's
+# output is untrusted text, so `_stage_calls` checks every statement against
+# this table once; a runner sees only calls that passed, arguments converted.
+# Every event-parsing and reasoning call but `noop` takes exactly one argument.
+STAGE_CALLS: dict[str, dict[str, tuple[type, ...]]] = {
+    "event_parsing": {
+        "noop": (),
+        "trim": (TemporalRegion,),
+        "classify": (QAType,),
+        "parse_event": (str,),
+        "set_conjunction": (TemporalConjunction,),
+        "require_ocr": (bool,),
+        "revise_question": (str,),
+    },
+    "grounding": {
+        "noop": (),
+        "localize": (str,),
+        "verify_action": (str,),
+        "anchor_then_shift": (),
+    },
+    "reasoning": {
+        "noop": (),
+        "subquestion": (str,),
+        "vqa_on_grounded": (str,),
+    },
+}
+
+
+def _argument(expr: Any, kind: type) -> Any:
+    """The value of a scalar literal of exactly this type (an Enum type takes
+    one of its values); anything else raises TypeError or ValueError."""
+    value = expr.value if isinstance(expr, (StringLit, IntLit, FloatLit, BoolLit)) else None
+    if type(value) is kind:
+        return value
+    if type(value) is str and issubclass(kind, Enum):
+        return kind(value)
+    raise TypeError(f"not a {kind.__name__} literal")
 
 
 def _stage_calls(program: Program, stage: str) -> list[tuple[str, list[Any]]]:
+    """The program's calls with their converted arguments, `noop` dropped;
+    a statement that the stage's table does not admit is a StageError."""
     calls: list[tuple[str, list[Any]]] = []
     for stmt in program.statements:
         if not isinstance(stmt, CallStmt):
             raise StageError(stage, "bad_statement", "stage programs admit calls only")
-        calls.append((stmt.name, [_literal_value(a, stage) for a in stmt.args]))
+        kinds = STAGE_CALLS[stage].get(stmt.name)
+        if kinds is None:
+            raise StageError(stage, "unknown_call", f"unrecognized call {stmt.name!r}")
+        try:
+            if len(stmt.args) != len(kinds):
+                raise TypeError(f"{stmt.name} takes {len(kinds)} arguments")
+            args = list(map(_argument, stmt.args, kinds))
+        except (TypeError, ValueError):
+            params = ("|".join(m.value for m in k) if issubclass(k, Enum) else k.__name__
+                      for k in kinds)
+            raise StageError(
+                stage, "bad_argument",
+                f"expected {stmt.name}({', '.join(params)}), got {render(Program((stmt,)))}",
+            ) from None
+        if stmt.name != "noop":
+            calls.append((stmt.name, args))
     return calls
 
 
@@ -196,37 +244,23 @@ def run_event_parsing(
     """Trim the window and record the question type, events and conjunction;
     the empty program changes nothing."""
     stage = "event_parsing"
-    for name, args in _stage_calls(program, stage):
-        if name == "noop":
-            continue
-        elif name == "trim":
-            try:
-                region = TemporalRegion(str(args[0]))
-            except (ValueError, IndexError):
-                raise StageError(stage, "bad_argument", f"unknown region {args!r}")
-            memory.frame_ids = apply_trim(memory.frame_ids, region, config.trim_mode)
+    for name, (value,) in _stage_calls(program, stage):
+        if name == "trim":
+            memory.frame_ids = apply_trim(memory.frame_ids, value, config.trim_mode)
         elif name == "classify":
-            try:
-                memory.qa_type = QAType(str(args[0]))
-            except (ValueError, IndexError):
-                raise StageError(stage, "bad_argument", f"unknown question type {args!r}")
+            memory.qa_type = value
         elif name == "parse_event":
             if len(memory.event_queue) >= MAX_EVENTS:
                 raise StageError(
                     stage, "event_overflow", f"more than {MAX_EVENTS} parsed events"
                 )
-            memory.event_queue.append(str(args[0]))
+            memory.event_queue.append(value)
         elif name == "set_conjunction":
-            try:
-                memory.conjunction = TemporalConjunction(str(args[0]))
-            except (ValueError, IndexError):
-                raise StageError(stage, "bad_argument", f"unknown conjunction {args!r}")
+            memory.conjunction = value
         elif name == "require_ocr":
-            memory.require_ocr = bool(args[0]) if args else True
+            memory.require_ocr = value
         elif name == "revise_question":
-            memory.question = str(args[0])
-        else:
-            raise StageError(stage, "unknown_call", f"unrecognized call {name!r}")
+            memory.question = value
 
 
 def run_grounding(
@@ -244,10 +278,8 @@ def run_grounding(
     event_sets: dict[str, set[int]] = {}
     shift_result: set[int] | None = None
     for name, args in _stage_calls(program, stage):
-        if name == "noop":
-            continue
-        elif name == "localize":
-            event = str(args[0])
+        if name == "localize":
+            event = args[0]
             matches = session.localize(video.video_id, event, base, stage="grounding")
             matched = {entry[0] for entry in matches if entry[0] in base_set}
             passed = {
@@ -257,7 +289,7 @@ def run_grounding(
             }
             event_sets[event] = event_sets[event] & passed if event in event_sets else passed
         elif name == "verify_action":
-            event = str(args[0])
+            event = args[0]
             domain = sorted(event_sets[event]) if event in event_sets else base
             kept = {
                 f for f in domain if session.verify_action(video.video_id, f, event)
@@ -288,8 +320,6 @@ def run_grounding(
                 shift_result = window
             else:
                 shift_result = target
-        else:
-            raise StageError(stage, "unknown_call", f"unrecognized call {name!r}")
     if shift_result is not None:
         grounded = shift_result
     elif memory.event_queue and memory.event_queue[0] in event_sets:
@@ -301,21 +331,6 @@ def run_grounding(
     )
 
 
-def _ask_on_frames(
-    memory: MemoryState,
-    video: VideoMeta,
-    session: ToolSession,
-    sub_index: int,
-    question: str,
-    frames: FrameWindow,
-) -> None:
-    memory.extra[f"sq_{sub_index}"] = question
-    prefix = "ocr" if memory.require_ocr else None
-    for frame_id in frames:
-        answer = session.vqa(video.video_id, frame_id, question, prefix)
-        memory.extra[f"sq_{sub_index}_frame_{frame_id}"] = answer
-
-
 def run_reasoning(
     program: Program,
     memory: MemoryState,
@@ -323,31 +338,22 @@ def run_reasoning(
     session: ToolSession,
     config: RunConfig,
 ) -> None:
-    """Register and ask the subquestions on the grounded frames; when none is
-    registered, as with the empty program, ask the (possibly revised)
-    question itself."""
-    stage = "reasoning"
+    """Register and ask the subquestions on the grounded frames; when the
+    program makes no call but `noop`, as the empty one, ask the (possibly
+    revised) question itself."""
     grounded = memory.grounded_window or FrameWindow()
+    prefix = "ocr" if memory.require_ocr else None
     registered: list[str] = []
-    for name, args in _stage_calls(program, stage):
-        if name == "noop":
-            continue
-        elif name == "subquestion":
-            question = str(args[0])
-            if question not in registered:
-                registered.append(question)
-                memory.extra[f"sq_{registered.index(question)}"] = question
-        elif name == "vqa_on_grounded":
-            question = str(args[0])
-            if question not in registered:
-                registered.append(question)
-            _ask_on_frames(
-                memory, video, session, registered.index(question), question, grounded
-            )
-        else:
-            raise StageError(stage, "unknown_call", f"unrecognized call {name!r}")
-    if not registered:
-        _ask_on_frames(memory, video, session, 0, memory.question, grounded)
+    calls = _stage_calls(program, "reasoning") or [("vqa_on_grounded", [memory.question])]
+    for name, (question,) in calls:
+        if question not in registered:
+            registered.append(question)
+            memory.extra[f"sq_{len(registered) - 1}"] = question
+        if name == "vqa_on_grounded":
+            sub_index = registered.index(question)
+            for frame_id in grounded:
+                answer = session.vqa(video.video_id, frame_id, question, prefix)
+                memory.extra[f"sq_{sub_index}_frame_{frame_id}"] = answer
 
 
 def _plan_and_parse(

@@ -241,11 +241,8 @@ _STAGE_PLANNERS = {
 }
 
 
-def rule_plan(stage: str, memory: MemoryState, question: str | None = None) -> str:
+def rule_plan(stage: str, memory: MemoryState) -> str:
     """Emit the flat program text for a stage. Always grammar-valid."""
     if stage not in _STAGE_PLANNERS:
         raise ValueError(f"no rule planner for stage {stage!r}")
-    if question is not None and question != memory.question:
-        memory = memory.clone()
-        memory.question = question
     return render(_STAGE_PLANNERS[stage](memory))

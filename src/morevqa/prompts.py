@@ -47,24 +47,20 @@ def build_predict_prompt(
     return "\n".join(lines)
 
 
-def parse_planner_prompt(prompt: str) -> tuple[str, str, MemoryState]:
-    """Return (stage, question, memory) from a planner prompt."""
-    lines = prompt.split("\n")
-    if not lines or not lines[0].startswith(PLANNER_HEADER_PREFIX):
+def parse_planner_prompt(prompt: str) -> tuple[str, MemoryState]:
+    """Return (stage, memory) from a planner prompt.
+
+    The memory is read from the last line: the question line above it is cut
+    at any newline in the question, and the memory JSON holds it whole.
+    """
+    header, _, _ = prompt.partition("\n")
+    if not header.startswith(PLANNER_HEADER_PREFIX):
         raise ValueError("missing planner header")
-    stage = lines[0][len(PLANNER_HEADER_PREFIX):].strip()
-    question = None
-    memory = None
-    for line in lines[1:]:
-        if line.startswith("question: ") and question is None:
-            question = line[len("question: "):]
-        elif line.startswith("memory: ") and memory is None:
-            memory = MemoryState.from_json_dict(json.loads(line[len("memory: "):]))
-    if question is None:
-        raise ValueError("planner prompt lacks a question line")
-    if memory is None:
+    stage = header[len(PLANNER_HEADER_PREFIX):].strip()
+    last = prompt.rsplit("\n", 1)[-1]
+    if not last.startswith("memory: "):
         raise ValueError("planner prompt lacks a memory line")
-    return stage, question, memory
+    return stage, MemoryState.from_json_dict(json.loads(last[len("memory: "):]))
 
 
 def parse_predict_prompt(prompt: str) -> tuple[str, list[str], str]:

@@ -362,10 +362,10 @@ def mock_complete(prompt: str, fixture: WorldFixture | None) -> str:
                 "no single-stage planner is available; supply an authored program or a replay"
             )
         try:
-            stage, question, memory = parse_planner_prompt(prompt)
+            stage, memory = parse_planner_prompt(prompt)
         except ValueError as exc:
             raise MockBackendError(str(exc)) from exc
-        return rule_plan(stage, memory, question)
+        return rule_plan(stage, memory)
     if header == PREDICT_HEADER:
         try:
             _, candidates, context_text = parse_predict_prompt(prompt)

@@ -11,7 +11,15 @@ from morevqa.baselines import (
     run_single_stage,
 )
 from morevqa.core import QAItem
-from morevqa.tools import FrameRecord, MockBackend, ToolSession, WorldFixture
+from morevqa.server import start_server
+from morevqa.tools import (
+    FrameRecord,
+    MockBackend,
+    RemoteBackend,
+    ReplayBackend,
+    ToolSession,
+    WorldFixture,
+)
 
 
 def _simple_fixture(n_frames=13) -> WorldFixture:
@@ -127,6 +135,39 @@ def test_single_stage_unbound_variable_failure(simple_backend):
     assert out.failure is not None
     assert out.failure["kind"] == "runtime_unbound"
     assert "quesiton" in out.failure["message"]
+
+
+@pytest.mark.parametrize(
+    "program", ["return caption(true)", 'return vqa(1.5, "q")', "return localize(5)"]
+)
+@pytest.mark.parametrize("transport", ["mock", "wire", "replay"])
+def test_single_stage_wrong_typed_tool_argument_fails_dispatch(
+    program, transport, simple_backend, tmp_path
+):
+    """A tool argument of the wrong type is not coerced: the request is
+    rejected as `invalid:` and the program fails as `runtime_dispatch`."""
+    video = _simple_fixture().video_meta()
+    qa = QAItem(question="q?", candidates=("a", "b"))
+    server = None
+    if transport == "wire":
+        server = start_server(simple_backend)
+        backend = RemoteBackend(*server.server_address[:2])
+    elif transport == "replay":
+        (tmp_path / "empty.rec").write_text("")
+        backend = ReplayBackend(tmp_path / "empty.rec")
+    else:
+        backend = simple_backend
+    try:
+        out = run_single_stage(video, qa, ToolSession(backend), program)
+    finally:
+        if server is not None:
+            backend.close()
+            server.shutdown()
+            server.server_close()
+    assert out.failure is not None
+    assert out.failure["kind"] == "runtime_dispatch"
+    assert "invalid:" in out.failure["message"]
+    assert out.calls == []
 
 
 def test_single_stage_parse_failure(simple_backend):

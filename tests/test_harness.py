@@ -205,6 +205,7 @@ def test_replay_miss_fails_the_item_with_its_error_type(
     assert failure["kind"] == "item_error"
     assert failure["error_type"] == "ReplayMissError"
     assert failure["message"].startswith("replay miss:")
+    assert results[1].trace["failure"] == failure
     assert results[1].correct == 0.0
     assert summary["failures_by_kind"] == {"item_error": 1}
 

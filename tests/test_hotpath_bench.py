@@ -1,6 +1,8 @@
 """Micro-benchmarks of the per-item hot path: plan text to AST and back, the
-content key of a tool request, a replayed caption through a session, context
-assembly, and one whole oracle item through `run_morevqa` on the mock.
+stage-call check of a planned program, the content key of a tool request, one
+caption from the mock, a replayed caption through a session, one request over
+a loopback wire, context assembly, and one whole oracle item through
+`run_morevqa` on the mock.
 
 The default run executes each case once, as a test (`--benchmark-disable` in
 pyproject). To time them:
@@ -10,13 +12,23 @@ pyproject). To time them:
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from morevqa.core import FrameWindow, MemoryState, QAItem, RunConfig
 from morevqa.lang import FLAT, parse, render
-from morevqa.pipeline import RuleBasedPlanner, build_context, run_morevqa
+from morevqa.pipeline import RuleBasedPlanner, _stage_calls, build_context, run_morevqa
 from morevqa.planner import rule_plan
-from morevqa.tools import RecordingBackend, ReplayBackend, ToolSession, canonical_args
+from morevqa.server import start_server
+from morevqa.tools import (
+    RecordingBackend,
+    RemoteBackend,
+    ReplayBackend,
+    ToolRequest,
+    ToolSession,
+    canonical_args,
+)
 
 QUESTION = "why did the man smile after the dog started running at the beginning of the video?"
 
@@ -37,9 +49,38 @@ def test_bench_render(benchmark, plan_text):
     assert benchmark(render, program) == plan_text
 
 
+def test_bench_stage_calls(benchmark, plan_text):
+    program = parse(plan_text, FLAT)
+    calls = benchmark(_stage_calls, program, "event_parsing")
+    assert [name for name, _ in calls] == [stmt.name for stmt in program.statements]
+
+
 def test_bench_canonical_args(benchmark):
     args = {"question": "what is the man doing?", "prefix": "ocr"}
     assert benchmark(canonical_args, args) == '{"prefix":"ocr","question":"what is the man doing?"}'
+
+
+def test_bench_mock_caption(benchmark, mock_backend):
+    resp = benchmark(mock_backend.dispatch, ToolRequest(1, "caption", "v000", 3))
+    assert resp.ok and resp.result
+
+
+def test_bench_wire_round_trip(benchmark, mock_backend):
+    server = start_server(mock_backend)
+    remote = RemoteBackend(*server.server_address[:2])
+    # a new question each round, so no reply is answered from the client's store
+    questions = (f"what is in frame 3, take {n}?" for n in itertools.count())
+
+    def round_trip():
+        return remote.dispatch(ToolRequest(1, "vqa", "v000", 3, {"question": next(questions)}))
+
+    try:
+        resp = benchmark(round_trip)
+    finally:
+        remote.close()
+        server.shutdown()
+        server.server_close()
+    assert resp.ok and resp.result
 
 
 def test_bench_replayed_caption(benchmark, tmp_path, mock_backend):

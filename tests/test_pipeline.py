@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from astgen import _NAMES, _WORDS, random_expr
 from morevqa.core import (
     FrameWindow,
     MemoryState,
@@ -15,12 +17,14 @@ from morevqa.core import (
     TemporalConjunction,
     TemporalRegion,
 )
-from morevqa.lang import FLAT, Program, parse
+from morevqa.lang import FLAT, Assign, CallStmt, Program, parse, render
 from morevqa.pipeline import (
+    STAGE_CALLS,
     ContextBlock,
     RuleBasedPlanner,
     LlmBackedPlanner,
     StageError,
+    _stage_calls,
     answer_from_reply,
     apply_conjunction,
     apply_trim,
@@ -32,7 +36,7 @@ from morevqa.pipeline import (
     run_morevqa,
     run_reasoning,
 )
-from morevqa.tools import ToolSession
+from morevqa.tools import ToolError, ToolSession
 
 RUNNERS = {
     "event_parsing": run_event_parsing,
@@ -502,3 +506,158 @@ def test_grounded_to_prediction_only_flag(oracle_bundle, mock_backend):
     # the true grounded window still reaches prediction and the output
     assert out.grounded_window.to_list() == [22, 26]
     assert "grounded frames: [22, 26]" in out.prediction_prompt
+
+
+# --- the stage-call contract ---
+
+class _OneStagePlanner:
+    """Answers one stage with a fixed program text (or raises the exception
+    given in its place) and plans every other stage by the rules."""
+
+    kind = "rule_based"
+
+    def __init__(self, stage, text):
+        self.stage = stage
+        self.text = text
+
+    def plan(self, stage, memory, session, video_id):
+        if stage != self.stage:
+            return RuleBasedPlanner().plan(stage, memory, session, video_id)
+        if isinstance(self.text, Exception):
+            raise self.text
+        return "prompt", self.text
+
+
+# (stage, planner output, failure kind); item 0 parses one event
+STAGE_FAILURES = [
+    ("event_parsing", "x = 1", "bad_statement"),
+    ("grounding", 'x = localize("cat")', "bad_statement"),
+    ("event_parsing", "explode()", "unknown_call"),
+    ("grounding", "explode()", "unknown_call"),
+    ("reasoning", "explode()", "unknown_call"),
+    ("grounding", 'trim("end")', "unknown_call"),
+    ("event_parsing", "parse_event()", "bad_argument"),
+    ("event_parsing", "revise_question()", "bad_argument"),
+    ("event_parsing", "require_ocr()", "bad_argument"),
+    ("event_parsing", "noop(1)", "bad_argument"),
+    ("event_parsing", 'trim("end", 3)', "bad_argument"),
+    ("grounding", "localize()", "bad_argument"),
+    ("grounding", "verify_action()", "bad_argument"),
+    ("grounding", 'localize("dog", 1)', "bad_argument"),
+    ("grounding", 'anchor_then_shift("cat")', "bad_argument"),
+    ("reasoning", "subquestion()", "bad_argument"),
+    ("reasoning", "vqa_on_grounded()", "bad_argument"),
+    ("event_parsing", "trim(3)", "bad_argument"),
+    ("event_parsing", 'require_ocr("false")', "bad_argument"),
+    ("grounding", "localize(1)", "bad_argument"),
+    ("reasoning", "vqa_on_grounded(5)", "bad_argument"),
+    ("reasoning", "vqa_on_grounded(1.5)", "bad_argument"),
+    ("event_parsing", "parse_event(true)", "bad_argument"),
+    ("grounding", "verify_action(false)", "bad_argument"),
+    ("event_parsing", 'classify("whence")', "bad_argument"),
+    ("event_parsing", 'trim("End")', "bad_argument"),
+    ("event_parsing", 'set_conjunction("during")', "bad_argument"),
+    ("event_parsing", "parse_event([])", "bad_argument"),
+    ("reasoning", 'subquestion(["what?"])', "bad_argument"),
+    ("grounding", "localize(dog)", "bad_argument"),
+    ("event_parsing", 'parse_event("a")\nparse_event("b")\nparse_event("c")', "event_overflow"),
+    ("grounding", "anchor_then_shift()", "bad_call"),
+    ("reasoning", "subquestion(", "parse_error"),
+    ("grounding", ToolError("complete", "backend: down"), "planner_error"),
+]
+
+
+@pytest.mark.parametrize("stage,text,kind", STAGE_FAILURES)
+def test_every_stage_error_kind_is_charged_to_its_stage(
+    stage, text, kind, oracle_bundle, mock_backend
+):
+    qa = _qa(oracle_bundle, 0)
+    video = _video(oracle_bundle, 0)
+    out = run_morevqa(
+        video, qa, RunConfig(), _OneStagePlanner(stage, text), ToolSession(mock_backend)
+    )
+    assert out.failure is not None
+    assert (out.failure["stage"], out.failure["kind"]) == (stage, kind)
+    assert [r.stage_name for r in out.stage_records] == list(STAGE_CALLS)[
+        : list(STAGE_CALLS).index(stage)
+    ]
+
+
+def test_bad_argument_names_the_signature():
+    with pytest.raises(StageError) as err:
+        _stage_calls(parse("trim(3)", FLAT), "event_parsing")
+    assert err.value.message == "expected trim(beginning|middle|end|whole), got trim(3)"
+
+
+def test_stage_calls_convert_arguments_and_drop_noop():
+    program = parse('noop()\ntrim("end")\nrequire_ocr(false)\nparse_event("x")', FLAT)
+    assert _stage_calls(program, "event_parsing") == [
+        ("trim", [TemporalRegion.END]), ("require_ocr", [False]), ("parse_event", ["x"]),
+    ]
+
+
+def test_rule_plan_calls_type_check_against_stage_calls(oracle_bundle, mock_backend):
+    for index in range(len(oracle_bundle.rows)):
+        qa = _qa(oracle_bundle, index)
+        video = _video(oracle_bundle, index)
+        out = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
+        assert out.failure is None
+        for record in out.stage_records[:3]:
+            program = parse(record.emitted_program, FLAT)
+            calls = _stage_calls(program, record.stage_name)
+            assert [name for name, _ in calls] == [
+                stmt.name for stmt in program.statements if stmt.name != "noop"
+            ]
+
+
+def test_multi_line_question_plans_alike_under_both_planners(oracle_bundle, mock_backend):
+    row = oracle_bundle.rows[4]
+    qa = QAItem("note:\n" + row["question"], tuple(row["candidates"]), row["answer_mc"])
+    video = _video(oracle_bundle, 4)
+    rule = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
+    llm = run_morevqa(video, qa, RunConfig(), LlmBackedPlanner(), ToolSession(mock_backend))
+    assert rule.failure is None and llm.failure is None
+    programs = [r.emitted_program for r in rule.stage_records[:3]]
+    assert programs == [r.emitted_program for r in llm.stage_records[:3]]
+    assert "anchor_then_shift()" in programs[1]
+    assert rule.mc_index == llm.mc_index == qa.answer_mc
+
+
+_CALL_NAMES = sorted({name for calls in STAGE_CALLS.values() for name in calls}) + _WORDS
+
+
+def _hostile_program(rng: random.Random, stage: str) -> Program:
+    """A flat program of calls with arbitrary arguments, half of them to the
+    stage's own call names and the rest to any stage's or to none; some
+    statements are assignments."""
+    stmts = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.2:
+            stmts.append(Assign(rng.choice(_NAMES), random_expr(rng, 1)))
+            continue
+        names = list(STAGE_CALLS[stage]) if rng.random() < 0.5 else _CALL_NAMES
+        args = tuple(random_expr(rng, 1) for _ in range(rng.randint(0, 2)))
+        stmts.append(CallStmt(rng.choice(names), args))
+    return Program(tuple(stmts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    stage=st.sampled_from(list(STAGE_CALLS)),
+    index=st.sampled_from([0, 1, 4, 5]),
+)
+def test_hostile_planner_output_fails_its_stage_or_runs(
+    oracle_bundle, mock_backend, rng, stage, index
+):
+    text = render(_hostile_program(rng, stage))
+    qa = _qa(oracle_bundle, index)
+    video = _video(oracle_bundle, index)
+    out = run_morevqa(
+        video, qa, RunConfig(), _OneStagePlanner(stage, text), ToolSession(mock_backend)
+    )
+    if out.failure is not None:
+        assert out.failure["stage"] == stage, (text, out.failure)
+        assert out.failure["kind"] in (
+            "bad_statement", "unknown_call", "bad_argument", "event_overflow", "bad_call",
+        ), (text, out.failure)
