@@ -23,8 +23,10 @@ from .harness import (
 from .pipeline import RuleBasedPlanner, run_morevqa
 from .server import parse_listen_address, start_server
 from .tools import (
+    FixtureError,
     MockBackend,
     RecordingBackend,
+    RecordingError,
     RemoteBackend,
     ReplayBackend,
     ToolSession,
@@ -134,10 +136,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         workers = args.workers
     backend, corpus = _resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, args.system)
-    try:
-        items = load_dataset(args.dataset, lenient=args.lenient)
-    except (OSError, DatasetError) as exc:
-        raise CliError(str(exc)) from exc
+    items = load_dataset(args.dataset, lenient=args.lenient)
     if not items:
         raise CliError("dataset is empty")
     recording = None
@@ -322,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, BackendUnreachable, OSError, DatasetError) as exc:
+    except (CliError, BackendUnreachable, OSError, DatasetError, FixtureError,
+            RecordingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

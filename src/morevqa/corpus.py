@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .text import token_set
-from .tools import FrameRecord, ObjectRecord, WorldFixture, mock_score
+from .tools import FrameRecord, ObjectRecord, WorldFixture, mock_score, save_fixture
 
 FRAME_COUNT = 32
 FPS = 1.0
@@ -423,9 +423,7 @@ def write_corpus(bundle: CorpusBundle, out_dir: str | Path) -> Path:
     fixtures_dir = out / "fixtures"
     fixtures_dir.mkdir(parents=True, exist_ok=True)
     for video_id, fixture in bundle.fixtures.items():
-        with open(fixtures_dir / f"{video_id}.json", "w", encoding="utf-8") as fh:
-            json.dump(fixture.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        save_fixture(fixture, fixtures_dir / f"{video_id}.json")
     with open(out / "dataset.jsonl", "w", encoding="utf-8") as fh:
         for row in bundle.rows:
             fh.write(json.dumps(row) + "\n")

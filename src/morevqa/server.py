@@ -11,7 +11,7 @@ import json
 import socketserver
 import threading
 
-from .tools import ToolRequest, ToolResponse
+from .tools import _JSON_ERRORS, ToolRequest, ToolResponse
 
 
 def _line(payload: dict) -> bytes:
@@ -28,7 +28,7 @@ def _reply_line(backend, text: str) -> bytes:
         if type(obj.get("id")) is int:
             req_id = obj["id"]
         req = ToolRequest.from_json_dict(obj)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except _JSON_ERRORS as exc:
         return _line({"id": req_id, "ok": False, "result": None,
                       "error": f"invalid: bad request line ({exc})"})
     try:

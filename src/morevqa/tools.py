@@ -10,6 +10,7 @@ for wire problems.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -36,6 +37,10 @@ def _json_id(obj: dict[str, Any]) -> int:
     if type(req_id) is not int:
         raise ValueError(f"id must be an integer, got {req_id!r}")
     return req_id
+
+
+# what reading a JSON request, reply or fixture into its type can raise
+_JSON_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,6 +197,8 @@ class WorldFixture:
     qa_notes: str | None = None
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.fps < math.inf:
+            raise ValueError(f"{self.video_id}: fps must be a finite positive number")
         for idx, frame in enumerate(self.frames):
             if frame.frame_id != idx:
                 raise ValueError(f"{self.video_id}: frame ids must be contiguous from 0")
@@ -251,9 +258,16 @@ class WorldFixture:
         )
 
 
+class FixtureError(ValueError):
+    """A fixture file that does not hold a valid fixture."""
+
+
 def load_fixture(path: str | Path) -> WorldFixture:
     with open(path, "r", encoding="utf-8") as fh:
-        return WorldFixture.from_json_dict(json.load(fh))
+        try:
+            return WorldFixture.from_json_dict(json.load(fh))
+        except _JSON_ERRORS as exc:
+            raise FixtureError(f"fixture {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def save_fixture(fixture: WorldFixture, path: str | Path) -> None:
@@ -362,10 +376,9 @@ def mock_complete(prompt: str, fixture: WorldFixture | None) -> str:
                 "no single-stage planner is available; supply an authored program or a replay"
             )
         try:
-            stage, memory = parse_planner_prompt(prompt)
-        except ValueError as exc:
-            raise MockBackendError(str(exc)) from exc
-        return rule_plan(stage, memory)
+            return rule_plan(*parse_planner_prompt(prompt))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise MockBackendError(f"{type(exc).__name__}: {exc}") from exc
     if header == PREDICT_HEADER:
         try:
             _, candidates, context_text = parse_predict_prompt(prompt)
@@ -448,16 +461,16 @@ def _request_key(req: ToolRequest) -> tuple:
 
 
 class ReplyStore:
-    """Tool replies keyed by request content, answered under the caller's id.
-
-    Every tool is deterministic (`complete` decodes at temperature 0 and the
-    mock is a pure function of its request), so a reply answers every later
-    request with the same `_request_key`. A request that `validate_request`
-    rejects is never looked up; that also keeps a bool `frame_id` off frame
-    1's entry, since `True == 1` as a dict key. Nothing is evicted: the store
-    lives as long as the backend that owns it. Threads share it without a
-    lock; two that miss the same request at once both ask for it and get the
-    same reply.
+    """The one dispatch path of the wire client, the recorder and replay;
+    each defines only `_miss(req)`. Replies are keyed by request content and
+    answered under the caller's id: every tool is deterministic (`complete`
+    decodes at temperature 0), so a reply answers every later request with
+    the same `_request_key`. A request that `validate_request` rejects goes
+    straight to `_miss` and is never looked up, which keeps a bool `frame_id`
+    off frame 1's entry (`True == 1`). Only ok misses are kept: `invalid:`,
+    `backend:` and `transport:` replies are asked for again. Nothing is
+    evicted. Threads share the store without a lock; two that miss one
+    request at once both ask for it.
     """
 
     def __init__(self) -> None:
@@ -466,34 +479,25 @@ class ReplyStore:
     def __len__(self) -> int:
         return len(self._replies)
 
-    def put(self, req: ToolRequest, resp: ToolResponse) -> None:
-        if validate_request(req) is None:
-            self._replies[_request_key(req)] = resp
-
-    def fetch(self, req: ToolRequest, call) -> ToolResponse:
-        """The stored reply to `req`, or else `call(req)`, which is kept only
-        when ok: `invalid:`, `backend:` and `transport:` replies are asked
-        for again each time."""
+    def dispatch(self, req: ToolRequest) -> ToolResponse:
         if validate_request(req) is not None:
-            return call(req)
+            return self._miss(req)
         key = _request_key(req)
         hit = self._replies.get(key)
         if hit is not None:
             return ToolResponse(req.id, hit.ok, hit.result, hit.error)
-        resp = call(req)
+        resp = self._miss(req)
         if resp.ok:
             self._replies[key] = resp
         return resp
 
-
-# --- remote backend (newline-delimited JSON over TCP) ---
 
 def _read_reply(line: bytes, req: ToolRequest) -> ToolResponse:
     """The reply on `line` to `req`. Raises ValueError when the line cannot be
     read, answers another id or carries a result of the wrong shape."""
     try:
         resp = ToolResponse.from_json_dict(json.loads(line))
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except _JSON_ERRORS as exc:
         raise ValueError(f"bad response line ({exc})") from exc
     if resp.id != req.id:
         raise ValueError(f"reply id {resp.id} to request id {req.id}")
@@ -503,20 +507,20 @@ def _read_reply(line: bytes, req: ToolRequest) -> ToolResponse:
     return resp
 
 
-class RemoteBackend:
-    """Client for the six-method wire protocol. One configurable timeout.
+# --- remote backend (newline-delimited JSON over TCP) ---
 
-    A repeated request is answered from a `ReplyStore`, with no round trip.
-    """
+class RemoteBackend(ReplyStore):
+    """Client for the six-method wire protocol. One configurable timeout.
+    A miss is one round trip."""
 
     def __init__(self, host: str, port: int, timeout_s: float = 10.0):
+        super().__init__()
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
         self._file = None
-        self._store = ReplyStore()
 
     def _connect(self) -> None:
         if self._sock is not None:
@@ -544,10 +548,7 @@ class RemoteBackend:
         with self._lock:
             self._close_locked()
 
-    def dispatch(self, req: ToolRequest) -> ToolResponse:
-        return self._store.fetch(req, self._round_trip)
-
-    def _round_trip(self, req: ToolRequest) -> ToolResponse:
+    def _miss(self, req: ToolRequest) -> ToolResponse:
         payload = json.dumps(req.to_json_dict()) + "\n"
         with self._lock:
             try:
@@ -570,27 +571,23 @@ class RemoteBackend:
 
 # --- record / replay ---
 
-class RecordingBackend:
-    """Wraps a live backend and writes each distinct request/response pair,
-    in order, as alternating JSON lines.
+class RecordingBackend(ReplyStore):
+    """Wraps a live backend and writes each pair it asks the inner backend
+    for, in order, as alternating request and response JSON lines.
 
-    A repeat of an ok request is answered from a `ReplyStore` without calling
-    the inner backend, and is not written again. Error replies are not kept,
-    so a failed request is asked and written each time it is made, and so is
-    a request that two workers miss at the same moment.
+    A repeat of an ok request is a store hit and is not written again. Error
+    replies are not kept, so a failed request is asked and written each time
+    it is made, and so is a request that two workers miss at the same moment.
     """
 
     def __init__(self, inner, path: str | Path):
+        super().__init__()
         self.inner = inner
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._store = ReplyStore()
         self._fh = open(self.path, "w", encoding="utf-8")
 
-    def dispatch(self, req: ToolRequest) -> ToolResponse:
-        return self._store.fetch(req, self._record)
-
-    def _record(self, req: ToolRequest) -> ToolResponse:
+    def _miss(self, req: ToolRequest) -> ToolResponse:
         resp = self.inner.dispatch(req)
         with self._lock:
             self._fh.write(json.dumps(req.to_json_dict()) + "\n")
@@ -608,28 +605,32 @@ class ReplayMissError(Exception):
     pass
 
 
-class ReplayBackend:
-    """Answers requests from a recording loaded into a `ReplyStore`; a
-    well-formed request that was never recorded is a hard error."""
+class RecordingError(ValueError):
+    """A recording that cannot be replayed, named with the failing pair."""
+
+
+class ReplayBackend(ReplyStore):
+    """Answers requests from a recording, whose replies are read and checked
+    as the wire client reads them; a well-formed request that was never
+    recorded is a hard error."""
 
     def __init__(self, path: str | Path):
+        super().__init__()
         self.path = Path(path)
-        self._store = ReplyStore()
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh.read().split("\n") if line.strip()]
-        if len(lines) % 2 != 0:
-            raise ValueError(f"recording {self.path} has an odd number of lines")
-        for i in range(0, len(lines), 2):
-            self._store.put(
-                ToolRequest.from_json_dict(json.loads(lines[i])),
-                ToolResponse.from_json_dict(json.loads(lines[i + 1])),
-            )
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def dispatch(self, req: ToolRequest) -> ToolResponse:
-        return self._store.fetch(req, self._miss)
+        lines = [line for line in self.path.read_bytes().split(b"\n") if line.strip()]
+        for pair, at in enumerate(range(0, len(lines), 2), start=1):
+            try:
+                try:
+                    req = ToolRequest.from_json_dict(json.loads(lines[at]))
+                except _JSON_ERRORS as exc:
+                    raise ValueError(f"bad request line ({exc})") from exc
+                if at + 1 == len(lines):
+                    raise ValueError("request line without a response line")
+                resp = _read_reply(lines[at + 1], req)
+            except ValueError as exc:
+                raise RecordingError(f"recording {self.path}: pair {pair}: {exc}") from exc
+            if validate_request(req) is None:
+                self._replies[_request_key(req)] = resp
 
     def _miss(self, req: ToolRequest) -> ToolResponse:
         # an invalid request is answered as any live backend answers it

@@ -60,6 +60,40 @@ def test_eval_unresolvable_backend_exit_two(oracle_dir, tmp_path):
     assert rc == 2
 
 
+def test_replay_bad_recording_exit_two(oracle_dir, tmp_path, capsys):
+    recording = tmp_path / "rec.jsonl"
+    recording.write_text("{bad\n{}\n", encoding="utf-8")
+    rc = main([
+        "replay",
+        "--dataset", str(oracle_dir / "dataset.jsonl"),
+        "--system", "morevqa",
+        "--recording", str(recording),
+        "--fixtures", str(oracle_dir / "fixtures"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: recording {recording}: pair 1: bad request line")
+    assert err.count("\n") == 1
+
+
+def test_eval_bad_fixture_exit_two(oracle_dir, tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    data = json.loads((oracle_dir / "fixtures" / "v000.json").read_text(encoding="utf-8"))
+    data["fps"] = 0
+    (fixtures / "v000.json").write_text(json.dumps(data), encoding="utf-8")
+    rc = main([
+        "eval",
+        "--dataset", str(oracle_dir / "dataset.jsonl"),
+        "--system", "morevqa",
+        "--backend", f"mock:{fixtures}",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fixture {fixtures / 'v000.json'}: ValueError: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_flag_exits_two(oracle_dir):
     with pytest.raises(SystemExit) as err:
         main(["eval", "--dataset", "x", "--system", "morevqa",

@@ -4,15 +4,20 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from morevqa.core import FrameWindow, MemoryState
 from morevqa.prompts import build_planner_prompt, build_predict_prompt
+from morevqa.server import start_server
 from morevqa.tools import (
+    METHODS,
+    FixtureError,
     FrameRecord,
     MockBackend,
     ObjectRecord,
     RecordingBackend,
+    RecordingError,
+    RemoteBackend,
     ReplayBackend,
     ReplayMissError,
     ToolRequest,
@@ -20,6 +25,7 @@ from morevqa.tools import (
     ToolSession,
     WorldFixture,
     load_corpus,
+    load_fixture,
     mock_localize,
     mock_score,
     mock_verify_action,
@@ -137,6 +143,16 @@ def test_mock_complete_planner_routes_to_rules(backend):
     assert 'trim("end")' in resp.result
 
 
+@pytest.mark.parametrize("prompt", [
+    "#planner:grounding\nmemory: []",
+    "#planner:grounding\nmemory: {}",
+    '#planner:nosuch\nmemory: {"frame_ids": [0, 1], "question": "why?"}',
+])
+def test_mock_complete_bad_planner_prompt_is_backend_error(backend, prompt):
+    resp = backend.dispatch(ToolRequest(1, "complete", "v1", None, {"prompt": prompt}))
+    assert not resp.ok and resp.error.startswith("backend:")
+
+
 def test_mock_complete_missing_header(backend):
     resp = backend.dispatch(ToolRequest(1, "complete", "v1", None, {"prompt": "hello"}))
     assert not resp.ok
@@ -236,28 +252,111 @@ def test_recorded_grid_holds_each_distinct_request_once(tmp_path, mock_backend, 
     assert live == run_grid(ReplayBackend(rec_path), tmp_path / "replay")
 
 
-def test_recorder_keeps_only_ok_replies(tmp_path, backend):
-    rec_path = tmp_path / "rec.jsonl"
-    recorder = RecordingBackend(backend, rec_path)
-    requests = [
-        ToolRequest(1, "caption", "v1", 5),
-        ToolRequest(2, "caption", "v1", 99),  # backend error: asked again
-        ToolRequest(3, "caption", "v1", True),  # invalid: never frame 1's reply
-    ]
-    for req in requests + requests:
-        assert recorder.dispatch(req) == backend.dispatch(req)
-    recorder.close()
-    lines = rec_path.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line)["id"] for line in lines[::2]] == [1, 2, 3, 2, 3]
+# --- the store-backed backends: the wire client, the recorder and replay ---
 
-    replay = ReplayBackend(rec_path)
-    assert len(replay) == 2  # the invalid request has no key
-    for req in requests:
-        assert replay.dispatch(req) == backend.dispatch(req)
+STORE_REQUESTS = [
+    ToolRequest(1, "caption", "v1", 5),
+    ToolRequest(2, "caption", "v1", 99),  # backend error
+    ToolRequest(3, "caption", "v1", None),  # invalid
+    ToolRequest(4, "caption", "v1", True),  # invalid, never frame 1's reply
+    ToolRequest(5, "caption", "v1", 1),
+]
+
+
+class _Counting:
+    """Passes requests on and keeps the ids of those that reach it."""
+
+    def __init__(self, dispatch):
+        self.inner = dispatch
+        self.ids = []
+
+    def dispatch(self, req):
+        self.ids.append(req.id)
+        return self.inner(req)
+
+
+def _journal_ids(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [json.loads(line)["id"] for line in lines[::2]]
+
+
+@pytest.fixture(params=["remote", "recording", "replay"])
+def store_backend(request, backend, tmp_path):
+    """A store-backed backend over `backend`, and a function that lists the
+    ids of the requests that reached its miss: server requests, journal
+    lines, or calls to replay's own miss."""
+    if request.param == "remote":
+        counting = _Counting(backend.dispatch)
+        srv = start_server(counting)
+        remote = RemoteBackend(*srv.server_address[:2])
+        yield remote, lambda: counting.ids
+        remote.close()
+        srv.shutdown()
+        srv.server_close()
+        return
+    recorder = RecordingBackend(backend, tmp_path / "rec.jsonl")
+    if request.param == "recording":
+        yield recorder, lambda: _journal_ids(recorder.path)
+        recorder.close()
+        return
+    for req in STORE_REQUESTS + STORE_REQUESTS:  # error pairs are written twice
+        recorder.dispatch(req)
+    recorder.close()
+    replay = ReplayBackend(recorder.path)
+    counting = _Counting(replay._miss)
+    replay._miss = counting.dispatch
+    yield replay, lambda: counting.ids
+
+
+def test_store_backed_contract(store_backend, backend):
+    store, reached = store_backend
+    for req in STORE_REQUESTS + STORE_REQUESTS:
+        assert store.dispatch(req) == backend.dispatch(req)
+    for req in STORE_REQUESTS:
         moved = dataclasses.replace(req, id=req.id + 10)  # a hit keeps ok, result and error
-        assert replay.dispatch(moved) == backend.dispatch(moved)
-    bool_frame = replay.dispatch(ToolRequest(4, "caption", "v1", True))
-    assert bool_frame.error.startswith("invalid:")
+        assert store.dispatch(moved) == backend.dispatch(moved)
+    assert store.dispatch(STORE_REQUESTS[3]).error.startswith("invalid:")
+    if isinstance(store, ReplayBackend):
+        # the recorded backend error is served as recorded; only the
+        # invalid requests, which have no key, reach the miss
+        assert reached() == [3, 4, 3, 4, 13, 14, 4]
+        assert len(store) == 3
+    else:
+        # each ok reply is asked for once, the error replies every time
+        assert reached() == [1, 2, 3, 4, 5, 2, 3, 4, 12, 13, 14, 4]
+        assert len(store) == 2
+
+
+def _recorded(req: ToolRequest, reply: str) -> str:
+    return json.dumps(req.to_json_dict()) + "\n" + reply + "\n"
+
+
+_SCORE = ToolRequest(2, "score", "v1", 5, {"text": "x"})
+_FIRST_PAIR = _recorded(ToolRequest(1, "caption", "v1", 5),
+                        '{"id": 1, "ok": true, "result": "a caption", "error": null}')
+
+
+@pytest.mark.parametrize("pair, complaint", [
+    ("{bad\n{}\n", "bad request line"),
+    ("[1]\n[2]\n", "bad request line"),
+    ("\xff\n{}\n", "bad request line"),
+    (json.dumps(_SCORE.to_json_dict()) + "\n", "without a response line"),
+    (_recorded(_SCORE, "{bad"), "bad response line"),
+    (_recorded(_SCORE, "[" * 100000 + "]" * 100000), "bad response line"),
+    (_recorded(_SCORE, '{"id": 2, "ok": true, "result": "not a float", "error": null}'),
+     "malformed score reply"),
+    (_recorded(_SCORE, '{"id": 3, "ok": true, "result": 0.5, "error": null}'),
+     "reply id 3 to request id 2"),
+], ids=["bad-json", "json-array", "not-utf8", "odd-line-count", "bad-reply-json",
+        "deep-reply", "reply-shape", "reply-id"])
+def test_bad_recording_raises_recording_error(tmp_path, pair, complaint):
+    path = tmp_path / "rec.jsonl"
+    path.write_bytes((_FIRST_PAIR + pair).encode("latin-1"))
+    with pytest.raises(RecordingError) as err:
+        ReplayBackend(path)
+    assert isinstance(err.value, ValueError)
+    assert str(err.value).startswith(f"recording {path}: pair 2: ")
+    assert complaint in str(err.value)
 
 
 def test_replay_miss_names_request(tmp_path, backend):
@@ -283,6 +382,9 @@ def test_fixture_serialization_round_trip(tmp_path):
 
 
 def test_fixture_validation():
+    for fps in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            WorldFixture("bad", fps, [FrameRecord(0, [], [], "x")])
     with pytest.raises(ValueError):
         WorldFixture("bad", 1.0, [FrameRecord(1, [], [], "x")])  # ids must start at 0
     with pytest.raises(ValueError):
@@ -292,6 +394,24 @@ def test_fixture_validation():
             "bad", 1.0,
             [FrameRecord(0, [ObjectRecord("x", [0.5, 0.1, 0.2, 0.9])], [], "c")],
         )
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(fps=0),
+    lambda d: d.pop("frames"),
+    lambda d: d["frames"][2]["objects"][0].update(box=[0.1, 0.1, 0.5]),
+    lambda d: d.update(frames="abc"),
+], ids=["zero-fps", "no-frames", "short-box", "frames-not-a-list"])
+def test_bad_fixture_file_raises_fixture_error(tmp_path, edit):
+    data = _fixture().to_json_dict()
+    edit(data)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(FixtureError, match=f"^fixture {path}: "):
+        load_fixture(path)
+    path.write_text("{bad", encoding="utf-8")
+    with pytest.raises(FixtureError):
+        load_fixture(path)
 
 
 def test_validate_request_rules():
@@ -344,3 +464,67 @@ def test_request_and_response_are_frozen():
         req.frame_id = 6
     with pytest.raises(dataclasses.FrozenInstanceError):
         resp.result = "y"
+
+
+# --- any file content either loads or raises its typed error ---
+
+_REQUEST_LIKE = st.fixed_dictionaries(
+    {"id": st.integers(0, 3) | _JSON_VALUES, "method": st.sampled_from(METHODS) | _JSON_VALUES},
+    optional={
+        "video_id": st.just("v1") | _JSON_VALUES,
+        "frame_id": st.integers(0, 9) | _JSON_VALUES,
+        "args": st.dictionaries(st.sampled_from(["text", "question", "frames", "prompt"]),
+                                _JSON_VALUES, max_size=3) | _JSON_VALUES,
+    },
+)
+_REPLY_LIKE = st.fixed_dictionaries(
+    {"id": st.integers(0, 3) | _JSON_VALUES, "ok": st.booleans() | _JSON_VALUES},
+    optional={"result": _JSON_VALUES, "error": _JSON_VALUES},
+)
+_FRAME_LIKE = st.fixed_dictionaries(
+    {"frame_id": st.integers(0, 2) | _JSON_VALUES, "caption": st.text(max_size=4) | _JSON_VALUES},
+    optional={
+        "objects": st.lists(st.fixed_dictionaries(
+            {"name": _JSON_VALUES, "box": st.lists(st.floats(0, 1), max_size=5) | _JSON_VALUES}
+        ), max_size=2) | _JSON_VALUES,
+        "actions": _JSON_VALUES,
+        "ocr_text": _JSON_VALUES,
+    },
+)
+_FIXTURE_LIKE = st.fixed_dictionaries(
+    {"video_id": st.just("v") | _JSON_VALUES, "fps": st.floats() | _JSON_VALUES,
+     "frames": st.lists(_FRAME_LIKE, max_size=3) | _JSON_VALUES},
+    optional={"qa_notes": _JSON_VALUES},
+)
+
+
+def _json_bytes(strategy):
+    return strategy.map(lambda value: json.dumps(value).encode())
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+@settings(deadline=None)
+@given(st.lists(st.binary(max_size=12) | _json_bytes(_JSON_VALUES | _REQUEST_LIKE | _REPLY_LIKE),
+                max_size=6))
+def test_any_recording_loads_or_raises_recording_error(scratch_dir, lines):
+    path = scratch_dir / "rec.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        ReplayBackend(path)
+    except RecordingError:
+        pass
+
+
+@settings(deadline=None)
+@given(st.binary(max_size=24) | _json_bytes(_JSON_VALUES | _FIXTURE_LIKE))
+def test_any_fixture_file_loads_or_raises_fixture_error(scratch_dir, data):
+    path = scratch_dir / "v.json"
+    path.write_bytes(data)
+    try:
+        load_fixture(path)
+    except FixtureError:
+        pass
