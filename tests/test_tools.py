@@ -396,21 +396,23 @@ def test_fixture_validation():
         )
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: d.update(fps=0),
-    lambda d: d.pop("frames"),
-    lambda d: d["frames"][2]["objects"][0].update(box=[0.1, 0.1, 0.5]),
-    lambda d: d.update(frames="abc"),
-], ids=["zero-fps", "no-frames", "short-box", "frames-not-a-list"])
-def test_bad_fixture_file_raises_fixture_error(tmp_path, edit):
+def _edited_fixture(edit) -> str:
     data = _fixture().to_json_dict()
     edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    _edited_fixture(lambda d: d.update(fps=0)),
+    _edited_fixture(lambda d: d.pop("frames")),
+    _edited_fixture(lambda d: d["frames"][2]["objects"][0].update(box=[0.1, 0.1, 0.5])),
+    _edited_fixture(lambda d: d.update(frames="abc")),
+    "{bad",
+], ids=["zero-fps", "no-frames", "short-box", "frames-not-a-list", "not-json"])
+def test_bad_fixture_file_raises_fixture_error(tmp_path, text):
     path = tmp_path / "v1.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(FixtureError, match=f"^fixture {path}: "):
-        load_fixture(path)
-    path.write_text("{bad", encoding="utf-8")
-    with pytest.raises(FixtureError):
         load_fixture(path)
 
 
