@@ -134,6 +134,33 @@ def test_grid_over_wire_asks_each_distinct_request_once(counted_server, mock_bac
     assert wire == run_grid(mock_backend, tmp_path / "mock")
 
 
+def test_store_hit_answers_with_callers_id(counted_server, mock_backend):
+    srv, counting = counted_server
+    remote = RemoteBackend(*_addr(srv))
+    first = remote.dispatch(ToolRequest(1, "caption", "v000", 3))
+    again = remote.dispatch(ToolRequest(2, "caption", "v000", 3))
+    remote.close()
+    assert len(counting.requests) == 1
+    assert again == mock_backend.dispatch(ToolRequest(2, "caption", "v000", 3))
+    assert first.result == again.result
+
+
+def test_error_replies_are_not_stored(counted_server, mock_backend):
+    srv, counting = counted_server
+    remote = RemoteBackend(*_addr(srv))
+    requests = [
+        ToolRequest(1, "caption", "v000", 99),  # backend error
+        ToolRequest(2, "caption", "v000", None),  # invalid
+        ToolRequest(3, "caption", "v000", 1),
+        ToolRequest(4, "caption", "v000", True),  # invalid, not frame 1
+    ]
+    for _ in range(2):
+        for req in requests:
+            assert remote.dispatch(req) == mock_backend.dispatch(req)
+    remote.close()
+    assert [r.id for r in counting.requests] == [1, 2, 3, 4, 1, 2, 4]
+
+
 def test_probe_reaches_server_on_every_eval(counted_server, oracle_bundle, oracle_dir):
     srv, counting = counted_server
     remote = RemoteBackend(*_addr(srv))
