@@ -5,7 +5,18 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from types import NoneType
 from typing import Any
+
+
+def expect_type(value: Any, what: str, *types: type) -> Any:
+    """`value` when its exact type is one of `types`, so a bool is not an
+    int; ValueError naming `what` otherwise. File readers use it so that a
+    field of the wrong type is refused, never coerced."""
+    if type(value) not in types:
+        names = " or ".join("null" if t is NoneType else t.__name__ for t in types)
+        raise ValueError(f"{what} must be {names}, got {value!r}")
+    return value
 
 
 class QAType(Enum):

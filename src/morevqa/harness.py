@@ -8,14 +8,16 @@ claiming equivalence with any judge-based protocol.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import NoneType
 from typing import Any, Iterable, Mapping
 
 from .baselines import BaselineOutcome, JcefConfig, run_jcef, run_llm_only, run_single_stage
-from .core import QAItem, RunConfig, VideoMeta
+from .core import QAItem, RunConfig, VideoMeta, expect_type
 from .pipeline import RuleBasedPlanner, RunOutcome, run_morevqa
 from .text import normalize_text
 from .tools import RemoteBackend, ToolRequest, ToolSession, WorldFixture
@@ -89,7 +91,30 @@ _ITEM_FIELDS = {
 }
 
 
+def _strings(value: Any, what: str) -> tuple[str, ...] | None:
+    """A list of strings as a tuple, or None for null."""
+    if value is None:
+        return None
+    for entry in expect_type(value, what, list):
+        expect_type(entry, f"{what} entry", str)
+    return tuple(value)
+
+
+def _window(value: Any) -> tuple[float, float] | None:
+    """Two finite numbers as a window, or None for null."""
+    if value is None:
+        return None
+    if len(expect_type(value, "gt_window_s", list)) != 2:
+        raise ValueError(f"gt_window_s must be a list of two numbers, got {value!r}")
+    for bound in value:
+        if not math.isfinite(expect_type(bound, "gt_window_s bound", int, float)):
+            raise ValueError(f"gt_window_s bounds must be finite, got {value!r}")
+    return tuple(value)
+
+
 def _parse_item(obj: dict[str, Any], lineno: int) -> EvalItem:
+    """One dataset row. Each field must have exactly its JSON type (strings,
+    lists of strings, a non-bool int, finite numbers); nothing is coerced."""
     unknown = set(obj) - _ITEM_FIELDS
     if unknown:
         raise DatasetError(f"line {lineno}: unknown fields {sorted(unknown)}")
@@ -101,42 +126,49 @@ def _parse_item(obj: dict[str, Any], lineno: int) -> EvalItem:
         raise DatasetError(f"line {lineno}: exactly one of answer_mc/answer_open is required")
     try:
         qa = QAItem(
-            question=obj["question"],
-            candidates=tuple(obj["candidates"]) if obj.get("candidates") else None,
-            answer_mc=obj.get("answer_mc"),
-            answer_open=tuple(obj["answer_open"]) if obj.get("answer_open") else None,
-            gt_window_s=tuple(obj["gt_window_s"]) if obj.get("gt_window_s") else None,
+            question=expect_type(obj["question"], "question", str),
+            candidates=_strings(obj.get("candidates"), "candidates"),
+            answer_mc=expect_type(obj.get("answer_mc"), "answer_mc", int, NoneType),
+            answer_open=_strings(obj.get("answer_open"), "answer_open"),
+            gt_window_s=_window(obj.get("gt_window_s")),
         )
-    except (ValueError, TypeError) as exc:
+        return EvalItem(
+            video_id=expect_type(obj["video_id"], "video_id", str),
+            qa=qa,
+            qtype_label=expect_type(obj.get("qtype"), "qtype", str, NoneType),
+            subset=expect_type(obj.get("subset"), "subset", str, NoneType),
+            program_path=expect_type(obj.get("program_path"), "program_path", str, NoneType),
+        )
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DatasetError(f"line {lineno}: {exc}") from exc
-    return EvalItem(
-        video_id=obj["video_id"],
-        qa=qa,
-        qtype_label=obj.get("qtype"),
-        subset=obj.get("subset"),
-        program_path=obj.get("program_path"),
-    )
 
 
 def load_dataset(path: str | Path, lenient: bool = False) -> list[EvalItem]:
-    """Parse a JSONL dataset. Malformed lines are fatal unless lenient."""
+    """Parse a JSONL dataset. Malformed lines, bytes that are not UTF-8
+    among them, are fatal unless lenient."""
     items: list[EvalItem] = []
     skipped: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte reads as a lone surrogate, which then fails to encode
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                try:
+                    line.encode("utf-8")
+                    obj = json.loads(line)
+                except UnicodeEncodeError:
+                    raise DatasetError(f"line {lineno}: not UTF-8") from None
+                except (ValueError, RecursionError) as exc:
+                    raise DatasetError(f"line {lineno}: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise DatasetError(f"line {lineno}: expected a JSON object")
                 items.append(_parse_item(obj, lineno))
-            except (json.JSONDecodeError, DatasetError) as exc:
-                message = str(exc) if isinstance(exc, DatasetError) else f"line {lineno}: {exc}"
+            except DatasetError as exc:
                 if lenient:
-                    skipped.append(message)
+                    skipped.append(str(exc))
                 else:
-                    raise DatasetError(message) from exc
+                    raise
     if skipped:
         for message in skipped:
             print(f"skipping malformed dataset line: {message}")

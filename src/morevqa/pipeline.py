@@ -42,7 +42,7 @@ from .lang import (
 )
 from .planner import rule_plan
 from .prompts import build_planner_prompt, build_predict_prompt
-from .text import normalize_text, token_set
+from .text import normalize_text
 from .tools import ToolError, ToolSession
 
 TRIM_FRACTION = 0.4
@@ -423,13 +423,13 @@ def build_context(
 def map_reply_to_candidate(reply: str, candidates: tuple[str, ...]) -> int:
     """Exact normalized match first, then best token overlap; never fails."""
     normalized = normalize_text(reply)
-    for idx, cand in enumerate(candidates):
-        if normalize_text(cand) == normalized:
-            return idx
-    reply_tokens = token_set(reply)
+    cand_norms = [normalize_text(cand) for cand in candidates]
+    if normalized in cand_norms:
+        return cand_norms.index(normalized)
+    reply_tokens = set(normalized.split())
     best_idx, best_overlap = 0, -1
-    for idx, cand in enumerate(candidates):
-        overlap = len(token_set(cand) & reply_tokens)
+    for idx, cand_norm in enumerate(cand_norms):
+        overlap = len(reply_tokens.intersection(cand_norm.split()))
         if overlap > best_overlap:
             best_idx, best_overlap = idx, overlap
     return best_idx

@@ -53,7 +53,6 @@ _REGION_PHRASE = re.compile(
     re.IGNORECASE,
 )
 _FINALLY_LEAD = re.compile(r"^\s*finally\s*,?\s*", re.IGNORECASE)
-_WHITESPACE = re.compile(r"\s+")
 _SPACE_BEFORE_PUNCT = re.compile(r"\s+([?.!,])")
 
 _QTYPE_BY_LEAD = {
@@ -101,7 +100,7 @@ def _find_conjunction(toks: list[str]) -> tuple[str, int] | None:
 def strip_region_phrase(question: str) -> str:
     revised = _REGION_PHRASE.sub("", question)
     revised = _FINALLY_LEAD.sub("", revised)
-    revised = _WHITESPACE.sub(" ", revised).strip()
+    revised = " ".join(revised.split())
     revised = _SPACE_BEFORE_PUNCT.sub(r"\1", revised)
     return revised
 

@@ -1,44 +1,55 @@
 """Text normalization and token matching used across tools and scoring.
 
-Normalization is lowercase, punctuation stripped, whitespace collapsed.
+Normalization is lowercase, punctuation stripped, whitespace collapsed. It is
+one regex pass plus `str.split`: regex `\\s`, `str.split()` and `str.strip()`
+share CPython's Unicode whitespace predicate, so splitting on whitespace and
+joining with one space collapses and trims exactly as `\\s+` -> " " would.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
+from typing import Callable
 
 _PUNCT = re.compile(r"[^\w\s]")
-_WS = re.compile(r"\s+")
 
 
 def normalize_text(text: str) -> str:
-    return _WS.sub(" ", _PUNCT.sub(" ", text.lower())).strip()
+    return " ".join(_PUNCT.sub(" ", text.lower()).split())
 
 
 def tokens(text: str) -> list[str]:
-    norm = normalize_text(text)
-    return norm.split(" ") if norm else []
+    return _PUNCT.sub(" ", text.lower()).split()
 
 
 def token_set(text: str) -> set[str]:
     return set(tokens(text))
 
 
+def _has_whole_word(padded_phrase: str, needle: str) -> bool:
+    """The whole-word rule: `padded_phrase` is a normalized phrase with one
+    space on each side, and the normalized needle, padded alike, must be a
+    non-empty substring of it."""
+    sub = f" {normalize_text(needle)} "
+    return sub != "  " and sub in padded_phrase
+
+
 def whole_word_contains(phrase: str, needle: str) -> bool:
     """True when the normalized phrase contains the normalized needle as a
     whole-word substring."""
-    hay = f" {normalize_text(phrase)} "
-    sub = f" {normalize_text(needle)} "
-    return sub.strip() != "" and sub in hay
+    return _has_whole_word(f" {normalize_text(phrase)} ", needle)
+
+
+def whole_word_matcher(phrase: str) -> Callable[[str], bool]:
+    """`whole_word_contains(phrase, ·)` with the phrase normalized once, for
+    testing one phrase against many needles."""
+    return partial(_has_whole_word, f" {normalize_text(phrase)} ")
 
 
 def jaccard(a: set[str], b: set[str]) -> float:
-    if not a and not b:
-        return 0.0
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a & b) / len(union)
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
 
 
 def token_overlap(candidate: str, context_tokens: set[str]) -> int:

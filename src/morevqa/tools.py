@@ -15,9 +15,10 @@ import socket
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import NoneType
 from typing import Any, Iterable, Mapping
 
-from .core import VideoMeta
+from .core import VideoMeta, expect_type
 from .planner import rule_plan
 from .prompts import (
     PLANNER_HEADER_PREFIX,
@@ -25,7 +26,7 @@ from .prompts import (
     parse_planner_prompt,
     parse_predict_prompt,
 )
-from .text import jaccard, token_overlap, token_set, whole_word_contains
+from .text import jaccard, token_overlap, token_set, whole_word_matcher
 
 METHODS = ("caption", "vqa", "localize", "verify_action", "score", "complete")
 
@@ -87,12 +88,10 @@ class ToolResponse:
 
     @classmethod
     def from_json_dict(cls, obj: dict[str, Any]) -> "ToolResponse":
-        return cls(
-            id=_json_id(obj),
-            ok=bool(obj["ok"]),
-            result=obj.get("result"),
-            error=obj.get("error"),
-        )
+        reply_id, ok = _json_id(obj), obj["ok"]
+        if type(ok) is not bool:
+            raise ValueError(f"ok must be a boolean, got {ok!r}")
+        return cls(id=reply_id, ok=ok, result=obj.get("result"), error=obj.get("error"))
 
 
 # method -> the string arg it requires
@@ -187,6 +186,31 @@ class FrameRecord:
     ocr_text: str | None = None
 
 
+def _frame_from_json(fr: Any, idx: int) -> FrameRecord:
+    where = f"frame {idx}"
+    expect_type(fr, where, dict)
+    objects = []
+    for o in expect_type(fr.get("objects", []), f"{where} objects", list):
+        expect_type(o, f"{where} object", dict)
+        box = expect_type(o["box"], f"{where} box", list)
+        if len(box) != 4:
+            raise ValueError(f"{where} box must hold 4 numbers, got {box!r}")
+        for v in box:
+            expect_type(v, f"{where} box coordinate", int, float)
+        name = expect_type(o["name"], f"{where} object name", str)
+        objects.append(ObjectRecord(name, list(box)))
+    actions = expect_type(fr.get("actions", []), f"{where} actions", list)
+    for action in actions:
+        expect_type(action, f"{where} action", str)
+    return FrameRecord(
+        frame_id=expect_type(fr["frame_id"], f"{where} frame_id", int),
+        objects=objects,
+        actions=list(actions),
+        caption=expect_type(fr["caption"], f"{where} caption", str),
+        ocr_text=expect_type(fr.get("ocr_text"), f"{where} ocr_text", str, NoneType),
+    )
+
+
 @dataclass
 class WorldFixture:
     """Synthetic per-frame ground truth backing the mock tools."""
@@ -240,21 +264,19 @@ class WorldFixture:
 
     @classmethod
     def from_json_dict(cls, obj: dict[str, Any]) -> "WorldFixture":
+        """Read a fixture whose fields have exactly their JSON types; a field
+        of another type (a bool for a number, a string for a list) is a
+        ValueError, never coerced."""
+        expect_type(obj, "a fixture", dict)
         frames = [
-            FrameRecord(
-                frame_id=int(fr["frame_id"]),
-                objects=[ObjectRecord(o["name"], list(o["box"])) for o in fr.get("objects", [])],
-                actions=list(fr.get("actions", [])),
-                caption=fr["caption"],
-                ocr_text=fr.get("ocr_text"),
-            )
-            for fr in obj["frames"]
+            _frame_from_json(fr, idx)
+            for idx, fr in enumerate(expect_type(obj["frames"], "frames", list))
         ]
         return cls(
-            video_id=obj["video_id"],
-            fps=float(obj["fps"]),
+            video_id=expect_type(obj["video_id"], "video_id", str),
+            fps=float(expect_type(obj["fps"], "fps", int, float)),
             frames=frames,
-            qa_notes=obj.get("qa_notes"),
+            qa_notes=expect_type(obj.get("qa_notes"), "qa_notes", str, NoneType),
         )
 
 
@@ -295,12 +317,13 @@ def mock_localize(
     A frame matches when an object name equals the normalized phrase or the
     phrase contains the object name as a whole-word substring.
     """
+    matches = whole_word_matcher(object_phrase)
     found: list[list[Any]] = []
     for frame_id in frames:
         if not 0 <= frame_id < fixture.frame_count:
             continue
         for obj in fixture.frames[frame_id].objects:
-            if whole_word_contains(object_phrase, obj.name):
+            if matches(obj.name):
                 found.append([frame_id, list(obj.box)])
                 break
     return found
@@ -320,10 +343,8 @@ def mock_score(fixture: WorldFixture, frame_id: int, text: str) -> float:
 def mock_verify_action(fixture: WorldFixture, frame_id: int, action: str) -> bool:
     """True when a fixture action equals the query or the query contains it
     as a whole-word substring."""
-    for known in fixture.frames[frame_id].actions:
-        if whole_word_contains(action, known):
-            return True
-    return False
+    actions = fixture.frames[frame_id].actions
+    return bool(actions) and any(map(whole_word_matcher(action), actions))
 
 
 def mock_vqa(fixture: WorldFixture, frame_id: int, question: str, prefix: str | None) -> str:
@@ -457,7 +478,18 @@ def canonical_args(args: Mapping[str, Any]) -> str:
 
 
 def _request_key(req: ToolRequest) -> tuple:
-    return (req.method, req.video_id, req.frame_id, canonical_args(req.args))
+    """The store key of a validated request. Args whose values are all
+    exactly `str` (every method's but `localize`'s) key as their sorted
+    (name, value) pairs, with no JSON encoding; other args key as their
+    `canonical_args` string. A pair is a tuple and never equals that string,
+    so a list, bool or number never shares a key with a string."""
+    args = req.args
+    if not args:
+        return (req.method, req.video_id, req.frame_id)
+    for value in args.values():
+        if type(value) is not str:
+            return (req.method, req.video_id, req.frame_id, canonical_args(args))
+    return (req.method, req.video_id, req.frame_id, *sorted(args.items()))
 
 
 class ReplyStore:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from morevqa.baselines import JcefConfig
+from morevqa.cli import main
 from morevqa.core import QAItem, RunConfig
 from morevqa.tools import RecordingBackend, ReplayBackend
 from morevqa.harness import (
@@ -71,6 +74,85 @@ def test_load_dataset_strict_vs_lenient(tmp_path):
     assert "line 2" in str(err.value)
     items = load_dataset(path, lenient=True)
     assert len(items) == 1
+
+
+_MC_ROW = {"video_id": "v0", "question": "q?", "candidates": ["a", "b"], "answer_mc": 0}
+
+
+@pytest.mark.parametrize("row, complaint", [
+    ({**_MC_ROW, "question": 5}, "question must be str"),
+    ({**_MC_ROW, "video_id": ["v"]}, "video_id must be str"),
+    ({**_MC_ROW, "answer_mc": True}, "answer_mc must be int or null"),
+    ({**_MC_ROW, "gt_window_s": [float("nan"), 3]}, "gt_window_s bounds must be finite"),
+    ({**_MC_ROW, "gt_window_s": [1, 2, 3]}, "gt_window_s must be a list of two numbers"),
+    ({**_MC_ROW, "gt_window_s": [1, "2"]}, "gt_window_s bound must be int or float"),
+    ({**_MC_ROW, "candidates": "abc"}, "candidates must be list"),
+    ({**_MC_ROW, "candidates": ["a", 5]}, "candidates entry must be str"),
+    ({"video_id": "v0", "question": "q?", "answer_open": "abc"}, "answer_open must be list"),
+    ({**_MC_ROW, "qtype": 5}, "qtype must be str or null"),
+    ({**_MC_ROW, "program_path": ["p"]}, "program_path must be str or null"),
+    ({"video_id": "v0", "question": "q?", "answer_open": []}, "answer_open must be non-empty"),
+    ({**_MC_ROW, "candidates": []}, "candidates must be non-empty"),
+    ({**_MC_ROW, "gt_window_s": []}, "gt_window_s must be a list of two numbers"),
+], ids=["int-question", "list-video-id", "bool-answer-mc", "nan-window", "long-window",
+        "string-window-bound", "string-candidates", "int-candidate", "string-answer-open",
+        "int-qtype", "list-program-path", "empty-answer-open", "empty-candidates",
+        "empty-window"])
+def test_wrong_typed_dataset_field_is_dataset_error(tmp_path, row, complaint):
+    path = _write_dataset(tmp_path, [json.dumps(_MC_ROW), json.dumps(row)])
+    with pytest.raises(DatasetError, match=f"^line 2: {complaint}"):
+        load_dataset(path)
+    assert len(load_dataset(path, lenient=True)) == 1
+
+
+def test_non_utf8_dataset_line_is_dataset_error(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(json.dumps(_MC_ROW).encode() + b'\n{"question": "caf\xe9"}\n')
+    with pytest.raises(DatasetError, match="^line 2: not UTF-8$"):
+        load_dataset(path)
+    assert len(load_dataset(path, lenient=True)) == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+_ROW_LIKE = st.fixed_dictionaries(
+    {"video_id": st.just("v000") | _JSON, "question": st.just("what?") | _JSON},
+    optional={
+        "candidates": st.lists(st.sampled_from(["a", "b"]), max_size=3) | _JSON,
+        "answer_mc": st.integers(-1, 3) | _JSON,
+        "answer_open": st.lists(st.just("a"), max_size=2) | _JSON,
+        "gt_window_s": st.lists(st.floats(), max_size=3) | _JSON,
+        "qtype": _JSON,
+        "subset": _JSON,
+        "program_path": _JSON,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("datasets")
+
+
+@settings(deadline=None)
+@given(st.lists(st.binary(max_size=16) | _ROW_LIKE.map(lambda row: json.dumps(row).encode()),
+                max_size=4))
+def test_any_dataset_bytes_load_or_raise_dataset_error(scratch_dir, oracle_dir, lines):
+    path = scratch_dir / "data.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        load_dataset(path)
+    except DatasetError as exc:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["eval", "--dataset", str(path), "--system", "morevqa",
+                       "--backend", f"mock:{oracle_dir / 'fixtures'}"])
+        assert rc == 2
+        assert err.getvalue() == f"error: {exc}\n"
 
 
 def test_score_mc():

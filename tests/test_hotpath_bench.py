@@ -1,8 +1,9 @@
 """Micro-benchmarks of the per-item hot path: plan text to AST and back, the
-stage-call check of a planned program, the content key of a tool request, one
-caption from the mock, a replayed caption through a session, one request over
-a loopback wire, context assembly, and one whole oracle item through
-`run_morevqa` on the mock.
+stage-call check of a planned program, the content key of a tool request, text
+normalization of a question and of a context block, one caption and one
+prediction `complete` from the mock, a replayed caption through a session, one
+request over a loopback wire, context assembly, and one whole oracle item
+through `run_morevqa` on the mock.
 
 The default run executes each case once, as a test (`--benchmark-disable` in
 pyproject). To time them:
@@ -20,7 +21,9 @@ from morevqa.core import FrameWindow, MemoryState, QAItem, RunConfig
 from morevqa.lang import FLAT, parse, render
 from morevqa.pipeline import RuleBasedPlanner, _stage_calls, build_context, run_morevqa
 from morevqa.planner import rule_plan
+from morevqa.prompts import build_predict_prompt
 from morevqa.server import start_server
+from morevqa.text import normalize_text
 from morevqa.tools import (
     RecordingBackend,
     RemoteBackend,
@@ -29,6 +32,7 @@ from morevqa.tools import (
     ToolSession,
     canonical_args,
 )
+from morevqa.tools import _request_key
 
 QUESTION = "why did the man smile after the dog started running at the beginning of the video?"
 
@@ -58,6 +62,38 @@ def test_bench_stage_calls(benchmark, plan_text):
 def test_bench_canonical_args(benchmark):
     args = {"question": "what is the man doing?", "prefix": "ocr"}
     assert benchmark(canonical_args, args) == '{"prefix":"ocr","question":"what is the man doing?"}'
+
+
+def test_bench_request_key_complete(benchmark):
+    req = ToolRequest(1, "complete", "v000", None, {"prompt": "#predict\n" + "x" * 1500})
+    key = ("complete", "v000", None, ("prompt", req.args["prompt"]))
+    assert benchmark(_request_key, req) == key
+
+
+def test_bench_normalize_question(benchmark):
+    assert benchmark(normalize_text, QUESTION).startswith("why did the man smile after")
+
+
+@pytest.fixture(scope="module")
+def context_text(oracle_bundle, mock_backend):
+    """The rendered context block of an oracle item: 16 caption lines."""
+    video = oracle_bundle.fixtures["v000"].video_meta()
+    memory = MemoryState(FrameWindow.full(video.frame_count), QUESTION)
+    return build_context(memory, video, ToolSession(mock_backend), 16).rendered
+
+
+def test_bench_normalize_context(benchmark, context_text):
+    assert context_text.count("\n") == 15
+    assert benchmark(normalize_text, context_text).startswith("frame 1 caption this")
+
+
+def test_bench_mock_predict(benchmark, oracle_bundle, mock_backend, context_text):
+    row = oracle_bundle.rows[4]
+    prompt = build_predict_prompt(row["question"], tuple(row["candidates"]),
+                                  context_text.split("\n"))
+    req = ToolRequest(1, "complete", row["video_id"], None, {"prompt": prompt})
+    resp = benchmark(mock_backend.dispatch, req)
+    assert resp.ok and resp.result in row["candidates"]
 
 
 def test_bench_mock_caption(benchmark, mock_backend):

@@ -269,6 +269,7 @@ class _ReplyServer:
     b'[1]\n',
     b'{"id": 1.0, "ok": true, "result": "a caption", "error": null}\n',  # an id is an int
     b'{"id": true, "ok": true, "result": "a caption", "error": null}\n',
+    b'{"id": 1, "ok": "no", "result": "x", "error": null}\n',  # ok is a JSON boolean
 ])
 def test_remote_rejects_bad_reply(reply):
     fake = _ReplyServer(reply)

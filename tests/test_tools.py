@@ -29,6 +29,7 @@ from morevqa.tools import (
     mock_localize,
     mock_score,
     mock_verify_action,
+    _TEXT_ARG,
     _request_key,
     canonical_args,
     validate_request,
@@ -347,8 +348,10 @@ _FIRST_PAIR = _recorded(ToolRequest(1, "caption", "v1", 5),
      "malformed score reply"),
     (_recorded(_SCORE, '{"id": 3, "ok": true, "result": 0.5, "error": null}'),
      "reply id 3 to request id 2"),
+    (_recorded(_SCORE, '{"id": 2, "ok": "no", "result": 0.5, "error": null}'),
+     "ok must be a boolean"),
 ], ids=["bad-json", "json-array", "not-utf8", "odd-line-count", "bad-reply-json",
-        "deep-reply", "reply-shape", "reply-id"])
+        "deep-reply", "reply-shape", "reply-id", "non-bool-ok"])
 def test_bad_recording_raises_recording_error(tmp_path, pair, complaint):
     path = tmp_path / "rec.jsonl"
     path.write_bytes((_FIRST_PAIR + pair).encode("latin-1"))
@@ -408,7 +411,27 @@ def _edited_fixture(edit) -> str:
     _edited_fixture(lambda d: d["frames"][2]["objects"][0].update(box=[0.1, 0.1, 0.5])),
     _edited_fixture(lambda d: d.update(frames="abc")),
     "{bad",
-], ids=["zero-fps", "no-frames", "short-box", "frames-not-a-list", "not-json"])
+    _edited_fixture(lambda d: d["frames"][1].update(frame_id=1.0)),
+    _edited_fixture(lambda d: d["frames"][0].update(frame_id=False)),
+    _edited_fixture(lambda d: d.update(fps=True)),
+    _edited_fixture(lambda d: d.update(fps="1")),
+    _edited_fixture(lambda d: d["frames"][0].update(caption=5)),
+    _edited_fixture(lambda d: d["frames"][2]["objects"][0].update(name=5)),
+    _edited_fixture(lambda d: d["frames"][5].update(actions="run")),
+    _edited_fixture(lambda d: d["frames"][5].update(actions=[5])),
+    _edited_fixture(lambda d: d["frames"][2].update(objects={"name": "ball"})),
+    _edited_fixture(lambda d: d["frames"][2]["objects"][0].update(box=[0.1, 0.1, True, 0.5])),
+    _edited_fixture(lambda d: d["frames"][2]["objects"][0].update(box=["0.1", 0.1, 0.5, 0.5])),
+    _edited_fixture(lambda d: d["frames"][2]["objects"][0].update(box="abcd")),
+    _edited_fixture(lambda d: d.update(qa_notes=5)),
+    _edited_fixture(lambda d: d["frames"][0].update(ocr_text=5)),
+    _edited_fixture(lambda d: d.update(video_id=["v1"])),
+    "[]",
+], ids=["zero-fps", "no-frames", "short-box", "frames-not-a-list", "not-json",
+        "float-frame-id", "bool-frame-id", "bool-fps", "string-fps", "int-caption",
+        "int-object-name", "string-actions", "int-action", "objects-not-a-list", "bool-box",
+        "string-box-coordinate", "string-box", "int-qa-notes", "int-ocr-text", "list-video-id",
+        "not-an-object"])
 def test_bad_fixture_file_raises_fixture_error(tmp_path, text):
     path = tmp_path / "v1.json"
     path.write_text(text, encoding="utf-8")
@@ -457,6 +480,56 @@ _JSON_VALUES = st.recursive(
 @given(st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4))
 def test_canonical_args_is_sorted_compact_json(args):
     assert canonical_args(args) == json.dumps(args, sort_keys=True, separators=(",", ":"))
+
+
+# small domains, so two drawn requests are often equal or nearly so; the values
+# are alike under `==` or alike once encoded
+_ARG_VALUE = st.sampled_from(["1", "true", 1, 1.0, True, [1], ["1"]])
+
+
+_EXTRA_ARGS = st.dictionaries(st.sampled_from(["prefix", "stage"]), _ARG_VALUE, max_size=2)
+
+
+@st.composite
+def _valid_requests(draw) -> ToolRequest:
+    method = draw(st.sampled_from(METHODS))
+    args = draw(_EXTRA_ARGS)
+    if method != "caption":
+        args[_TEXT_ARG[method]] = draw(st.sampled_from(["a", "b", "1"]))
+    if method == "localize":
+        args["frames"] = draw(st.lists(st.integers(0, 1), max_size=2))
+    frame_id = None if method in ("localize", "complete") else draw(st.integers(0, 1))
+    return ToolRequest(1, method, draw(st.sampled_from(["v1", "v2"])), frame_id, args)
+
+
+def _with_other_extras(req: ToolRequest, extras: dict) -> ToolRequest:
+    args = {k: v for k, v in req.args.items() if k not in ("prefix", "stage")}
+    return ToolRequest(2, req.method, req.video_id, req.frame_id, {**extras, **args})
+
+
+@settings(max_examples=500)
+@given(_valid_requests(), st.data())
+def test_request_key_equal_exactly_when_canonical_content_equal(a, data):
+    # b is another request, or a with its optional args drawn again
+    b = data.draw(_valid_requests() | _EXTRA_ARGS.map(lambda extras: _with_other_extras(a, extras)))
+    assert validate_request(a) is None and validate_request(b) is None
+    same = ((a.method, a.video_id, a.frame_id, canonical_args(a.args))
+            == (b.method, b.video_id, b.frame_id, canonical_args(b.args)))
+    assert (_request_key(a) == _request_key(b)) is same
+    # the same content under another id and arg order is the same key
+    again = ToolRequest(2, a.method, a.video_id, a.frame_id, dict(reversed(a.args.items())))
+    assert _request_key(again) == _request_key(a)
+
+
+def test_request_key_of_a_non_string_arg_is_never_a_string_key():
+    def key(**extra):
+        return _request_key(ToolRequest(1, "vqa", "v1", 0, {"question": "q", **extra}))
+
+    keys = [key(prefix=v) for v in ("1", 1, 1.0, True, None, [1], ["1"])]
+    assert len(set(map(repr, keys))) == len(keys)
+    assert all(k1 != k2 for i, k1 in enumerate(keys) for k2 in keys[i + 1:])
+    assert key(prefix="x") != key(stage="x")
+    assert _request_key(ToolRequest(1, "caption", "v1", 0)) == ("caption", "v1", 0)
 
 
 def test_request_and_response_are_frozen():
