@@ -63,7 +63,10 @@ def _coerce(text: str, kind: type):
         if lowered in ("0", "false", "no", "off"):
             return False
         raise CliError(f"cannot read boolean from {text!r}")
-    return kind(text)
+    try:
+        return kind(text)
+    except ValueError:
+        raise CliError(f"cannot read {kind.__name__} from {text!r}") from None
 
 
 def _build_configs(config_path: str | None) -> tuple[RunConfig, JcefConfig, int]:
@@ -78,7 +81,7 @@ def _build_configs(config_path: str | None) -> tuple[RunConfig, JcefConfig, int]
     jcef_fields = {f.name for f in fields(JcefConfig)}
     for key, raw in values.items():
         if key == "workers":
-            workers = int(raw)
+            workers = _coerce(raw, int)
         elif key == "stage_mask":
             bits = [b.strip() for b in raw.split(",")]
             if len(bits) != 3:
@@ -95,6 +98,14 @@ def _build_configs(config_path: str | None) -> tuple[RunConfig, JcefConfig, int]
         else:
             raise CliError(f"unknown config key {key!r}")
     return run_config, jcef_config, workers
+
+
+def _resolve_workers(flag: int | None, configured: int) -> int:
+    """`--workers` when given, else the config file's value; at least 1."""
+    workers = configured if flag is None else flag
+    if workers < 1:
+        raise CliError(f"workers must be at least 1, got {workers}")
+    return workers
 
 
 def _resolve_backend(spec: str, fixtures_dir: str | None):
@@ -132,8 +143,7 @@ def _require_fixtures(corpus, system: str) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     run_config, jcef_config, workers = _build_configs(args.config)
-    if args.workers is not None:
-        workers = args.workers
+    workers = _resolve_workers(args.workers, workers)
     backend, corpus = _resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, args.system)
     items = load_dataset(args.dataset, lenient=args.lenient)
@@ -198,8 +208,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     run_config, _, workers = _build_configs(args.config)
-    if args.workers is not None:
-        workers = args.workers
+    workers = _resolve_workers(args.workers, workers)
     backend, corpus = _resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, "morevqa")
     items = load_dataset(args.dataset, lenient=args.lenient)
@@ -274,7 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         p.add_argument("--fixtures")
         p.add_argument("--lenient", action="store_true")
-        p.add_argument("--workers", type=int)
+        p.add_argument(
+            "--workers", type=int,
+            help="threads that overlap tool waits (default 1); each claims the next"
+            " item, and results keep dataset order",
+        )
 
     p_eval = sub.add_parser("eval", help="evaluate one system over a dataset")
     common_eval_flags(p_eval)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import NoneType
@@ -169,9 +170,8 @@ def load_dataset(path: str | Path, lenient: bool = False) -> list[EvalItem]:
                     skipped.append(str(exc))
                 else:
                     raise
-    if skipped:
-        for message in skipped:
-            print(f"skipping malformed dataset line: {message}")
+    for message in skipped:
+        print(f"skipping malformed dataset line: {message}", file=sys.stderr)
     return items
 
 
@@ -390,6 +390,8 @@ def run_eval(
     """Evaluate every item; write results, summary, traces, timings."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     run_config = run_config or RunConfig()
     jcef_config = jcef_config or JcefConfig()
     dataset_dir = Path(dataset_dir) if dataset_dir is not None else None
@@ -416,11 +418,39 @@ def run_eval(
                        "question": item.qa.question, "failure": failure},
             )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(item) for item in items]
+    # The caller and `workers - 1` threads each claim the next unclaimed
+    # index; writing results[idx] keeps dataset order. With one worker no
+    # thread starts.
+    results: list[EvalResult | None] = [None] * len(items)
+    pending = iter(range(len(items)))
+    claim_lock = threading.Lock()
+    escaped: list[BaseException] = []
+
+    def work() -> None:
+        while not escaped:
+            with claim_lock:
+                idx = next(pending, None)
+            if idx is None:
+                return
+            try:
+                results[idx] = one(items[idx])
+            except BaseException as exc:  # `one` keeps every Exception; this stops all claims
+                escaped.append(exc)
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    except BaseException as exc:  # a thread failed to start, or an interrupt: stop the rest
+        escaped.append(exc)
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if escaped:
+        raise escaped[0]
 
     summary = summarize(system, results)
     if out_dir is not None:

@@ -161,7 +161,7 @@ def validate_result_shape(method: str, result: Any) -> bool:
             if not (isinstance(box, list) and len(box) == 4):
                 return False
             x0, y0, x1, y1 = box
-            if not all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in box):
+            if not all(type(v) in (int, float) and 0.0 <= v <= 1.0 for v in box):
                 return False
             if not (x0 < x1 and y0 < y1):
                 return False

@@ -256,16 +256,49 @@ def test_config_keys_that_nothing_reads_are_unknown(tmp_path, line):
         cli._build_configs(str(config))
 
 
-def test_config_unknown_key_is_fatal(oracle_dir, tmp_path):
+@pytest.mark.parametrize("command, line, flags, message", [
+    ("eval", "definitely_not_a_key=1", [], "unknown config key 'definitely_not_a_key'"),
+    ("eval", "workers=0", [], "workers must be at least 1, got 0"),
+    ("eval", "workers=2", ["--workers", "-2"], "workers must be at least 1, got -2"),
+    ("ablate", "workers=1", ["--workers", "0"], "workers must be at least 1, got 0"),
+    ("eval", "workers=abc", [], "cannot read int from 'abc'"),
+    ("eval", "n_context_frames=1.5", [], "cannot read int from '1.5'"),
+], ids=["unknown-key", "config-workers-0", "flag-workers-minus-2", "ablate-flag-workers-0",
+        "config-workers-abc", "config-int-field-1.5"])
+def test_bad_config_or_workers_is_fatal(oracle_dir, tmp_path, capsys, command, line, flags,
+                                        message):
     config = tmp_path / "bad.cfg"
-    config.write_text("definitely_not_a_key=1\n", encoding="utf-8")
+    config.write_text(line + "\n", encoding="utf-8")
+    system = ["--system", "morevqa"] if command == "eval" else []
     rc = main(
         [
-            "eval",
+            command,
             "--dataset", str(oracle_dir / "dataset.jsonl"),
-            "--system", "morevqa",
+            *system,
             "--backend", f"mock:{oracle_dir / 'fixtures'}",
             "--config", str(config),
+            *flags,
         ]
     )
     assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_lenient_eval_keeps_stdout_json(oracle_dir, tmp_path, capsys):
+    rows = (oracle_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(rows[:3] + ["{not json"]) + "\n", encoding="utf-8")
+    rc = main([
+        "eval",
+        "--dataset", str(dataset),
+        "--system", "morevqa",
+        "--backend", f"mock:{oracle_dir / 'fixtures'}",
+        "--lenient",
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["items"] == 3
+    assert captured.err.startswith("skipping malformed dataset line: line 4: ")
+    assert captured.err.count("\n") == 1

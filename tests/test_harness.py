@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +26,11 @@ from morevqa.harness import (
     qtype_stats,
     run_ablation,
     run_eval,
+    run_item,
     score_mc,
     score_open_ended,
+    summarize,
+    write_eval_outputs,
 )
 
 
@@ -302,11 +308,121 @@ def test_run_eval_permutation_leaves_aggregates(oracle_dir, oracle_bundle, mock_
     assert summary_a["per_subset"] == summary_b["per_subset"]
 
 
-def test_run_eval_workers_match_sequential(oracle_dir, oracle_bundle, mock_backend):
+def _sequential(items, system, backend, fixtures):
+    """The reference: one `run_item` after another, outside `run_eval`."""
+    return [run_item(system, item, fixtures[item.video_id].video_meta(), backend,
+                     RunConfig(), JcefConfig()) for item in items]
+
+
+def _output_bytes(out_dir):
+    paths = [out_dir / "results.jsonl", out_dir / "summary.json",
+             *sorted((out_dir / "traces").iterdir())]
+    return {path.relative_to(out_dir): path.read_bytes() for path in paths}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_run_eval_workers_match_sequential(oracle_dir, oracle_bundle, mock_backend, tmp_path,
+                                           workers):
     items = _items(oracle_dir)[:10]
-    seq, _ = run_eval(items, "morevqa", mock_backend, oracle_bundle.fixtures, workers=1)
-    par, _ = run_eval(items, "morevqa", mock_backend, oracle_bundle.fixtures, workers=4)
+    seq = _sequential(items, "morevqa", mock_backend, oracle_bundle.fixtures)
+    write_eval_outputs(tmp_path / "seq", seq, summarize("morevqa", seq))
+    par, _ = run_eval(items, "morevqa", mock_backend, oracle_bundle.fixtures,
+                      out_dir=tmp_path / "par", workers=workers)
     assert [r.to_json_dict() for r in seq] == [r.to_json_dict() for r in par]
+    assert _output_bytes(tmp_path / "seq") == _output_bytes(tmp_path / "par")
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_eval_rejects_fewer_than_one_worker(oracle_dir, oracle_bundle, mock_backend,
+                                               workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_eval(_items(oracle_dir), "morevqa", mock_backend, oracle_bundle.fixtures,
+                 workers=workers)
+
+
+def _within(timeout_s, fn):
+    """Run `fn` on a daemon thread joined with a timeout, so a hung call
+    fails the test and does not block exit; return {"value": ...} or
+    {"raised": ...}."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["raised"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"still running after {timeout_s} s"
+    return outcome
+
+
+class _Escape(BaseException):
+    """Not an Exception, so `run_eval`'s per-item catch lets it through."""
+
+
+class _EscapingBackend:
+    """Raises `_Escape` from every dispatch and counts the dispatches."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.calls = 0
+
+    def dispatch(self, req):
+        with self.lock:
+            self.calls += 1
+        raise _Escape(req.video_id)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_eval_reraises_an_escaped_exception_after_joining(oracle_dir, oracle_bundle,
+                                                              workers):
+    backend = _EscapingBackend()
+    before = threading.active_count()
+    outcome = _within(60, lambda: run_eval(_items(oracle_dir), "morevqa", backend,
+                                           oracle_bundle.fixtures, workers=workers))
+    assert isinstance(outcome.get("raised"), _Escape)
+    # each item raises on its first dispatch, and a thread that saw an escape
+    # claims no more items, so at most one item per worker was started
+    assert 1 <= backend.calls <= workers
+    assert threading.active_count() == before
+
+
+class _CompleteCounter:
+    """Counts `complete` requests per video over a shared inner backend."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lock = threading.Lock()
+        self.completes = Counter()
+
+    def dispatch(self, req):
+        if req.method == "complete":
+            with self.lock:
+                self.completes[req.video_id] += 1
+        return self.inner.dispatch(req)
+
+
+def test_run_eval_claims_each_item_once_under_contention(oracle_dir, oracle_bundle,
+                                                         mock_backend):
+    items = _items(oracle_dir)
+    seq = _sequential(items, "morevqa", mock_backend, oracle_bundle.fixtures)
+    backend = _CompleteCounter(mock_backend)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcome = _within(120, lambda: run_eval(items, "morevqa", backend,
+                                                oracle_bundle.fixtures, workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert "raised" not in outcome
+    # the rule planner sends one `complete` per item, its prediction: a lost
+    # claim leaves a video uncounted, a doubled one counts it twice
+    assert backend.completes == Counter(item.video_id for item in items)
+    par, _ = outcome["value"]
+    assert [r.to_json_dict() for r in par] == [r.to_json_dict() for r in seq]
 
 
 def test_run_ablation_rows(oracle_dir, oracle_bundle, mock_backend, tmp_path):

@@ -261,20 +261,30 @@ class _ReplyServer:
                 fh.flush()
 
 
-@pytest.mark.parametrize("reply", [
-    b'{"id": 8, "ok": true, "result": "a caption", "error": null}\n',  # another id
-    b'{"id": 1, "ok": true, "result": 3, "error": null}\n',  # a caption is text
-    b'{"id": 1, "ok": false, "result": null, "error": 5}\n',
-    b'{"id": 1, "ok": true, "result": "x", "error": "both"}\n',
-    b'[1]\n',
-    b'{"id": 1.0, "ok": true, "result": "a caption", "error": null}\n',  # an id is an int
-    b'{"id": true, "ok": true, "result": "a caption", "error": null}\n',
-    b'{"id": 1, "ok": "no", "result": "x", "error": null}\n',  # ok is a JSON boolean
-])
-def test_remote_rejects_bad_reply(reply):
+_CAPTION = ToolRequest(1, "caption", "v000", 0)
+_LOCALIZE = ToolRequest(1, "localize", "v000", None, {"object": "cup", "frames": [1]})
+_BAD_REPLIES = [
+    (b'{"id": 8, "ok": true, "result": "a caption", "error": null}\n', _CAPTION),  # another id
+    (b'{"id": 1, "ok": true, "result": 3, "error": null}\n', _CAPTION),  # a caption is text
+    (b'{"id": 1, "ok": false, "result": null, "error": 5}\n', _CAPTION),
+    (b'{"id": 1, "ok": true, "result": "x", "error": "both"}\n', _CAPTION),
+    (b'[1]\n', _CAPTION),
+    # an id is an int
+    (b'{"id": 1.0, "ok": true, "result": "a caption", "error": null}\n', _CAPTION),
+    (b'{"id": true, "ok": true, "result": "a caption", "error": null}\n', _CAPTION),
+    (b'{"id": 1, "ok": "no", "result": "x", "error": null}\n', _CAPTION),  # ok is a JSON boolean
+    # box coordinates are numbers, not booleans
+    (b'{"id": 1, "ok": true, "result": [[1, [false, false, true, true]]], "error": null}\n',
+     _LOCALIZE),
+]
+
+
+# each case is named by its reply line alone
+@pytest.mark.parametrize("reply, req", _BAD_REPLIES,
+                         ids=[reply.decode() for reply, _ in _BAD_REPLIES])
+def test_remote_rejects_bad_reply(reply, req):
     fake = _ReplyServer(reply)
     remote = RemoteBackend("127.0.0.1", fake.port, timeout_s=5)
-    req = ToolRequest(1, "caption", "v000", 0)
     resp = remote.dispatch(req)
     assert resp.id == 1 and resp.error.startswith("transport:")
     remote.close()

@@ -466,7 +466,10 @@ def test_validate_request_rules():
 def test_validate_result_shape_rejects_bools_as_numbers():
     assert not validate_result_shape("score", True)
     assert not validate_result_shape("localize", [[True, [0.1, 0.1, 0.5, 0.5]]])
+    assert not validate_result_shape("localize", [[1, [False, False, True, True]]])
+    assert not validate_result_shape("localize", [[1, [0.1, False, 0.5, 0.5]]])
     assert validate_result_shape("localize", [[1, [0.1, 0.1, 0.5, 0.5]]])
+    assert validate_result_shape("localize", [[1, [0, 0, 1, 1]]])
 
 
 _JSON_VALUES = st.recursive(
