@@ -15,6 +15,7 @@ from .harness import (
     SYSTEMS,
     BackendUnreachable,
     DatasetError,
+    EvalItem,
     load_dataset,
     qtype_stats,
     run_ablation,
@@ -141,14 +142,20 @@ def _require_fixtures(corpus, system: str) -> None:
         )
 
 
+def _load_items(args: argparse.Namespace) -> list[EvalItem]:
+    """The `--dataset` items; an empty dataset is a CliError."""
+    items = load_dataset(args.dataset, lenient=args.lenient)
+    if not items:
+        raise CliError("dataset is empty")
+    return items
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     run_config, jcef_config, workers = _build_configs(args.config)
     workers = _resolve_workers(args.workers, workers)
     backend, corpus = _resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, args.system)
-    items = load_dataset(args.dataset, lenient=args.lenient)
-    if not items:
-        raise CliError("dataset is empty")
+    items = _load_items(args)
     recording = None
     if args.record:
         recording = RecordingBackend(backend, args.record)
@@ -211,7 +218,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     workers = _resolve_workers(args.workers, workers)
     backend, corpus = _resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, "morevqa")
-    items = load_dataset(args.dataset, lenient=args.lenient)
+    items = _load_items(args)
     out_path = Path(args.out) / "ablation.csv" if args.out else None
     if out_path is not None:
         out_path.parent.mkdir(parents=True, exist_ok=True)

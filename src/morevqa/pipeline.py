@@ -92,16 +92,20 @@ class RunOutcome:
 
 
 # --- planners ---
+#
+# A planner's `plan(stage, memory, prompt, session, video_id)` returns the
+# stage's program text and the Program it stands for. `prompt` is built once
+# by the stage loop from the stage's `memory_before` snapshot.
 
 class RuleBasedPlanner:
     """Emits stage programs directly from the keyword tables; no tool access."""
 
     kind = "rule_based"
 
-    def plan(self, stage: str, memory: MemoryState, session: ToolSession,
-             video_id: str | None) -> tuple[str, str]:
-        prompt = build_planner_prompt(stage, memory)
-        return prompt, rule_plan(stage, memory)
+    def plan(self, stage: str, memory: MemoryState, prompt: str, session: ToolSession,
+             video_id: str | None) -> tuple[str, Program]:
+        program = rule_plan(stage, memory)
+        return render(program), program
 
 
 class LlmBackedPlanner:
@@ -109,11 +113,10 @@ class LlmBackedPlanner:
 
     kind = "llm_backed"
 
-    def plan(self, stage: str, memory: MemoryState, session: ToolSession,
-             video_id: str | None) -> tuple[str, str]:
-        prompt = build_planner_prompt(stage, memory)
-        program_text = session.complete(prompt, video_id)
-        return prompt, program_text
+    def plan(self, stage: str, memory: MemoryState, prompt: str, session: ToolSession,
+             video_id: str | None) -> tuple[str, Program]:
+        reply = session.complete(prompt, video_id)
+        return reply, parse(reply, FLAT)
 
 
 # --- window operations ---
@@ -356,22 +359,20 @@ def run_reasoning(
                 memory.extra[f"sq_{sub_index}_frame_{frame_id}"] = answer
 
 
-def _plan_and_parse(
+def _plan(
     stage: str,
     memory: MemoryState,
+    prompt: str,
     planner,
     session: ToolSession,
     video: VideoMeta,
-) -> tuple[str, str, Program]:
+) -> tuple[str, Program]:
     try:
-        prompt, program_text = planner.plan(stage, memory, session, video.video_id)
+        return planner.plan(stage, memory, prompt, session, video.video_id)
     except ToolError as exc:
         raise StageError(stage, "planner_error", str(exc)) from exc
-    try:
-        program = parse(program_text, FLAT)
     except ParseError as exc:
         raise StageError(stage, "parse_error", str(exc)) from exc
-    return prompt, program_text, program
 
 
 # --- context assembly and prediction ---
@@ -490,22 +491,28 @@ def run_morevqa(
         ("reasoning", run_reasoning if any(config.stage_mask) else lambda *_: None,
          config.stage_mask[2]),
     )
+    # One snapshot per stage boundary: a stage's `memory_after` is the next
+    # stage's `memory_before` and the source of its planner prompt. Nothing
+    # mutates a snapshot once taken, so records may share one.
+    snapshot = memory.to_json_dict()
     try:
         for stage, runner, enabled in stages:
             tick = time.perf_counter()
             if stage == "reasoning":
                 full_grounded = memory.grounded_window
-                if config.grounded_to_prediction_only and memory.frame_ids:
-                    # ablation: reasoning sees only the ungrounded middle frame
-                    memory.grounded_window = FrameWindow((memory.frame_ids.middle_frame(),))
-            before = memory.to_json_dict()
+                if config.grounded_to_prediction_only:
+                    if memory.frame_ids:
+                        # ablation: reasoning sees only the ungrounded middle frame
+                        memory.grounded_window = FrameWindow((memory.frame_ids.middle_frame(),))
+                    snapshot = memory.to_json_dict()
+            before = snapshot
             trace_start = len(session.trace)
             prompt, program_text, program = "", "", Program()
             if enabled:
-                prompt, program_text, program = _plan_and_parse(
-                    stage, memory, planner, session, video
-                )
+                prompt = build_planner_prompt(stage, before)
+                program_text, program = _plan(stage, memory, prompt, planner, session, video)
             runner(program, memory, video, session, config)
+            snapshot = memory.to_json_dict()
             records.append(
                 StageRecord(
                     stage_name=stage,
@@ -514,7 +521,7 @@ def run_morevqa(
                     parsed_program=render(program) if enabled else None,
                     tool_calls=session.trace[trace_start:],
                     memory_before=before,
-                    memory_after=memory.to_json_dict(),
+                    memory_after=snapshot,
                 )
             )
             timings[stage] = (time.perf_counter() - tick) * 1000.0
@@ -522,6 +529,8 @@ def run_morevqa(
         stage = "prediction"
         tick = time.perf_counter()
         memory.grounded_window = full_grounded
+        if config.grounded_to_prediction_only:
+            snapshot = memory.to_json_dict()
         context = build_context(memory, video, session, config.n_context_frames)
         extra_lines = None
         if config.grounded_to_prediction_only and full_grounded is not None:
@@ -529,7 +538,6 @@ def run_morevqa(
         answer, mc_index, prompt, reply = final_predict(
             context, qa, session, video.video_id, extra_lines
         )
-        final_memory = memory.to_json_dict()
         records.append(
             StageRecord(
                 stage_name="prediction",
@@ -537,8 +545,8 @@ def run_morevqa(
                 emitted_program=reply,
                 parsed_program=None,
                 tool_calls=[session.trace[-1]],
-                memory_before=final_memory,
-                memory_after=final_memory,
+                memory_before=snapshot,
+                memory_after=snapshot,
             )
         )
         timings[stage] = (time.perf_counter() - tick) * 1000.0

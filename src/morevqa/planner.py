@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from .core import MemoryState, QAType
-from .lang import CallStmt, Program, StringLit, BoolLit, render
+from .lang import CallStmt, Program, StringLit, BoolLit
 from .text import tokens
 
 REGION_KEYWORDS = {
@@ -240,8 +240,8 @@ _STAGE_PLANNERS = {
 }
 
 
-def rule_plan(stage: str, memory: MemoryState) -> str:
-    """Emit the flat program text for a stage. Always grammar-valid."""
+def rule_plan(stage: str, memory: MemoryState) -> Program:
+    """The flat program for a stage. Its rendering always parses back to it."""
     if stage not in _STAGE_PLANNERS:
         raise ValueError(f"no rule planner for stage {stage!r}")
-    return render(_STAGE_PLANNERS[stage](memory))
+    return _STAGE_PLANNERS[stage](memory)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from typing import Any
 
 from .core import MemoryState
 
@@ -18,13 +19,14 @@ PLANNER_HEADER_PREFIX = "#planner:"
 _CANDIDATE_LINE = re.compile(r"^(\d+): (.*)$")
 
 
-def build_planner_prompt(stage: str, memory: MemoryState) -> str:
-    memory_json = json.dumps(memory.to_json_dict())
+def build_planner_prompt(stage: str, memory: dict[str, Any]) -> str:
+    """The planner prompt for a stage over a `MemoryState.to_json_dict()`
+    snapshot; the engine passes the stage's `memory_before`."""
     return "\n".join(
         [
             f"{PLANNER_HEADER_PREFIX}{stage}",
-            f"question: {memory.question}",
-            f"memory: {memory_json}",
+            f"question: {memory['question']}",
+            f"memory: {json.dumps(memory)}",
         ]
     )
 

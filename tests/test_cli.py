@@ -60,6 +60,19 @@ def test_eval_unresolvable_backend_exit_two(oracle_dir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_empty_dataset_exit_two(oracle_dir, tmp_path, capsys, command):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("", encoding="utf-8")
+    argv = [command, "--dataset", str(dataset), "--backend", f"mock:{oracle_dir / 'fixtures'}"]
+    if command == "eval":
+        argv += ["--system", "morevqa"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dataset is empty\n"
+
+
 def test_replay_bad_recording_exit_two(oracle_dir, tmp_path, capsys):
     recording = tmp_path / "rec.jsonl"
     recording.write_text("{bad\n{}\n", encoding="utf-8")

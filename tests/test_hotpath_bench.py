@@ -1,9 +1,10 @@
-"""Micro-benchmarks of the per-item hot path: plan text to AST and back, the
-stage-call check of a planned program, the content key of a tool request, text
-normalization of a question and of a context block, one caption and one
-prediction `complete` from the mock, a replayed caption through a session, one
-request over a loopback wire, context assembly, and one whole oracle item
-through `run_morevqa` on the mock.
+"""Micro-benchmarks of the per-item hot path: plan text to AST and back, one
+rule-planner stage, the stage-call check of a planned program, the content key
+of a tool request, text normalization of a question and of a context block,
+one caption and one prediction `complete` from the mock, a replayed caption
+through a session, one request over a loopback wire, context assembly, and one
+whole oracle item through `run_morevqa` on the mock and on a replay of its
+recording.
 
 The default run executes each case once, as a test (`--benchmark-disable` in
 pyproject). To time them:
@@ -21,7 +22,7 @@ from morevqa.core import FrameWindow, MemoryState, QAItem, RunConfig
 from morevqa.lang import FLAT, parse, render
 from morevqa.pipeline import RuleBasedPlanner, _stage_calls, build_context, run_morevqa
 from morevqa.planner import rule_plan
-from morevqa.prompts import build_predict_prompt
+from morevqa.prompts import build_planner_prompt, build_predict_prompt
 from morevqa.server import start_server
 from morevqa.text import normalize_text
 from morevqa.tools import (
@@ -40,7 +41,7 @@ QUESTION = "why did the man smile after the dog started running at the beginning
 @pytest.fixture(scope="module")
 def plan_text():
     memory = MemoryState(FrameWindow.full(32), QUESTION)
-    return rule_plan("event_parsing", memory)
+    return render(rule_plan("event_parsing", memory))
 
 
 def test_bench_parse(benchmark, plan_text):
@@ -51,6 +52,13 @@ def test_bench_parse(benchmark, plan_text):
 def test_bench_render(benchmark, plan_text):
     program = parse(plan_text, FLAT)
     assert benchmark(render, program) == plan_text
+
+
+def test_bench_rule_planner_plan(benchmark):
+    memory = MemoryState(FrameWindow.full(32), QUESTION)
+    prompt = build_planner_prompt("event_parsing", memory.to_json_dict())
+    text, program = benchmark(RuleBasedPlanner().plan, "event_parsing", memory, prompt, None, None)
+    assert text == render(program) and parse(text, FLAT) == program
 
 
 def test_bench_stage_calls(benchmark, plan_text):
@@ -155,3 +163,21 @@ def test_bench_run_morevqa_item(benchmark, oracle_bundle, mock_backend):
 
     outcome = benchmark(item)
     assert outcome.failure is None and outcome.mc_index == qa.answer_mc
+
+
+def test_bench_run_morevqa_item_on_replay(benchmark, tmp_path, oracle_bundle, mock_backend):
+    row = oracle_bundle.rows[4]
+    video = oracle_bundle.fixtures[row["video_id"]].video_meta()
+    qa = QAItem(row["question"], tuple(row["candidates"]), row["answer_mc"])
+    recorder = RecordingBackend(mock_backend, tmp_path / "rec.jsonl")
+    live = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(recorder))
+    recorder.close()
+    replay = ReplayBackend(tmp_path / "rec.jsonl")
+
+    def item():
+        return run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(replay))
+
+    outcome = benchmark(item)
+    assert outcome.failure is None and outcome.mc_index == qa.answer_mc
+    assert (outcome.trace_dict(video.video_id, qa.question)
+            == live.trace_dict(video.video_id, qa.question))

@@ -36,6 +36,7 @@ from morevqa.pipeline import (
     run_morevqa,
     run_reasoning,
 )
+from morevqa.prompts import build_planner_prompt
 from morevqa.tools import ToolError, ToolSession
 
 RUNNERS = {
@@ -67,8 +68,9 @@ def _memory(qa, video):
 def _run_stage(stage, memory, video, session, config=None):
     """Plan one stage with the rule planner and run its program on the
     memory; returns the emitted program text."""
-    _, text = RuleBasedPlanner().plan(stage, memory, session, video.video_id)
-    RUNNERS[stage](parse(text, FLAT), memory, video, session, config or RunConfig())
+    prompt = build_planner_prompt(stage, memory.to_json_dict())
+    text, program = RuleBasedPlanner().plan(stage, memory, prompt, session, video.video_id)
+    RUNNERS[stage](program, memory, video, session, config or RunConfig())
     return text
 
 
@@ -415,8 +417,9 @@ def test_run_morevqa_failure_is_structured(oracle_bundle, mock_backend):
     class BrokenPlanner:
         kind = "rule_based"
 
-        def plan(self, stage, memory, session, video_id):
-            return "prompt", "this is ( not a program"
+        def plan(self, stage, memory, prompt, session, video_id):
+            text = "this is ( not a program"
+            return text, parse(text, FLAT)
 
     qa = _qa(oracle_bundle, 0)
     video = _video(oracle_bundle, 0)
@@ -520,12 +523,12 @@ class _OneStagePlanner:
         self.stage = stage
         self.text = text
 
-    def plan(self, stage, memory, session, video_id):
+    def plan(self, stage, memory, prompt, session, video_id):
         if stage != self.stage:
-            return RuleBasedPlanner().plan(stage, memory, session, video_id)
+            return RuleBasedPlanner().plan(stage, memory, prompt, session, video_id)
         if isinstance(self.text, Exception):
             raise self.text
-        return "prompt", self.text
+        return self.text, parse(self.text, FLAT)
 
 
 # (stage, planner output, failure kind); item 0 parses one event

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from morevqa.core import FrameWindow, MemoryState, QAType, TemporalConjunction
-from morevqa.lang import FLAT, parse
+from morevqa.lang import FLAT, parse, render
 from morevqa.planner import (
     classify_question,
     counted_object,
@@ -19,9 +19,9 @@ def _memory(question: str) -> MemoryState:
 
 
 def test_stage1_temporal_and_type_and_event():
-    text = rule_plan(
+    text = render(rule_plan(
         "event_parsing", _memory("why is the cat lying on its back at the end of the video?")
-    )
+    ))
     assert 'trim("end")' in text
     assert 'classify("why")' in text
     assert 'parse_event("cat lying on its back")' in text
@@ -29,39 +29,39 @@ def test_stage1_temporal_and_type_and_event():
 
 
 def test_stage1_simple_question_has_no_events():
-    text = rule_plan("event_parsing", _memory("what is in the background?"))
+    text = render(rule_plan("event_parsing", _memory("what is in the background?")))
     assert 'classify("what")' in text
     assert "parse_event" not in text
     assert "trim" not in text
 
 
 def test_stage1_ocr_keyword():
-    text = rule_plan("event_parsing", _memory("what does the sign say?"))
+    text = render(rule_plan("event_parsing", _memory("what does the sign say?")))
     assert "require_ocr(true)" in text
 
 
 def test_stage1_conjunction_split():
     question = "why is the boy walking over to the shelf after playing with the person?"
-    text = rule_plan("event_parsing", _memory(question))
+    text = render(rule_plan("event_parsing", _memory(question)))
     assert 'set_conjunction("after")' in text
     assert 'parse_event("boy walking over to the shelf")' in text
     assert 'parse_event("playing with the person")' in text
 
 
 def test_stage1_no_temporal_words_means_no_trim():
-    text = rule_plan("event_parsing", _memory("why is the dog barking loudly?"))
+    text = render(rule_plan("event_parsing", _memory("why is the dog barking loudly?")))
     assert "trim" not in text
 
 
 def test_stage2_noop_without_events():
     memory = _memory("what is in the background?")
-    assert rule_plan("grounding", memory) == "noop()"
+    assert render(rule_plan("grounding", memory)) == "noop()"
 
 
 def test_stage2_localize_and_verify_per_event():
     memory = _memory("irrelevant")
     memory.event_queue = ["cat lying on its back"]
-    text = rule_plan("grounding", memory)
+    text = render(rule_plan("grounding", memory))
     assert text.split("\n") == [
         'localize("cat lying on its back")',
         'verify_action("cat lying on its back")',
@@ -72,14 +72,14 @@ def test_stage2_anchor_shift_for_two_events():
     memory = _memory("irrelevant")
     memory.event_queue = ["boy walking to the shelf", "playing with the person"]
     memory.conjunction = TemporalConjunction.AFTER
-    assert rule_plan("grounding", memory).split("\n")[-1] == "anchor_then_shift()"
+    assert render(rule_plan("grounding", memory)).split("\n")[-1] == "anchor_then_shift()"
 
 
 def test_stage3_why_templates_use_subject():
     memory = _memory("why is the grey cat lying on its back?")
     memory.qa_type = QAType.WHY
     memory.event_queue = ["grey cat lying on its back"]
-    text = rule_plan("reasoning", memory)
+    text = render(rule_plan("reasoning", memory))
     assert 'subquestion("what is the grey cat doing?")' in text
     assert 'vqa_on_grounded("what is the grey cat interacting with?")' in text
 
@@ -87,14 +87,14 @@ def test_stage3_why_templates_use_subject():
 def test_stage3_counting_template():
     memory = _memory("how many bright kites are gliding across the water?")
     memory.qa_type = QAType.COUNTING
-    text = rule_plan("reasoning", memory)
+    text = render(rule_plan("reasoning", memory))
     assert 'subquestion("how many bright kites are visible?")' in text
 
 
 def test_stage3_other_types_noop():
     memory = _memory("what is in the background?")
     memory.qa_type = QAType.WHAT
-    assert rule_plan("reasoning", memory) == "noop()"
+    assert render(rule_plan("reasoning", memory)) == "noop()"
 
 
 def test_classify_rules():
@@ -137,9 +137,9 @@ def test_emitted_programs_always_parse(stage, oracle_bundle):
         memory = _memory(row["question"])
         if stage != "event_parsing":
             # populate the memory the way stage 1 would
-            program = parse(rule_plan("event_parsing", memory), FLAT)
+            program = parse(render(rule_plan("event_parsing", memory)), FLAT)
             from morevqa.core import RunConfig
             from morevqa.pipeline import run_event_parsing
 
             run_event_parsing(program, memory, None, None, RunConfig())
-        parse(rule_plan(stage, memory), FLAT)
+        parse(render(rule_plan(stage, memory)), FLAT)

@@ -208,6 +208,15 @@ def test_wrong_typed_fields_get_invalid_reply(server):
         fh.flush()
         reply = json.loads(fh.readline())
         assert reply["id"] == 1 and reply["error"].startswith("invalid:"), frame_id
+    # args must be a JSON object, never pairs that dict() would take
+    for line in (b'{"id": 1, "method": "vqa", "video_id": "v000", "frame_id": 3, '
+                 b'"args": [["question", "what?"]]}',
+                 b'{"id": 1, "method": "caption", "video_id": "v000", "frame_id": 3, '
+                 b'"args": ["ab"]}'):
+        fh.write(line + b"\n")
+        fh.flush()
+        reply = json.loads(fh.readline())
+        assert reply["id"] == 1 and reply["error"].startswith("invalid:"), line
     for line in (b'{"id": 1e400, "method": "caption"}', b"[" * 100000 + b"]" * 100000):
         fh.write(line + b"\n")
         fh.flush()

@@ -6,6 +6,10 @@ The golden grid runs four of the eight stage masks. This file runs
 few items with a backend error injected at each call position in turn. The
 digest was taken before the stage runners were folded into one loop; any
 change to an answer, a stage record or a failure record shows up here.
+
+Over the same grid it also checks the two facts the stage loop relies on:
+a rule plan loses nothing by skipping the text round trip, and each stage
+boundary has one memory snapshot.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ import json
 
 import pytest
 
-from morevqa.core import RunConfig
+from morevqa.core import STAGE_NAMES, FrameWindow, MemoryState, RunConfig
 from morevqa.harness import load_dataset
-from morevqa.pipeline import LlmBackedPlanner, RuleBasedPlanner, run_morevqa
+from morevqa.lang import FLAT, parse, render
+from morevqa.pipeline import STAGE_CALLS, LlmBackedPlanner, RuleBasedPlanner, run_morevqa
+from morevqa.planner import rule_plan
 from morevqa.prompts import PLANNER_HEADER_PREFIX
 from morevqa.tools import ToolResponse, ToolSession
 
@@ -117,3 +123,39 @@ def test_a_tool_failure_is_charged_to_the_stage_that_made_the_call(items, mock_b
             names = [r.stage_name for r in failed.stage_records]
             assert names == ["event_parsing", "grounding", "reasoning"][:len(names)]
             assert stage not in names
+
+
+def test_rule_plans_survive_the_text_round_trip(items, mock_backend):
+    for config in _configs():
+        for item, video in items:
+            outcome, _ = _run(item, video, config, RuleBasedPlanner, mock_backend)
+            assert outcome.failure is None
+            planned = [r for r in outcome.stage_records if r.stage_name in STAGE_CALLS]
+            assert len(planned) == 3
+            for record in planned:
+                memory = MemoryState.from_json_dict(record.memory_before)
+                program = rule_plan(record.stage_name, memory)
+                assert parse(render(program), FLAT) == program
+                if record.parsed_program is not None:
+                    assert record.emitted_program == record.parsed_program == render(program)
+
+
+def test_each_stage_starts_from_the_memory_the_last_one_left(items, mock_backend):
+    for config, planner in itertools.product(_configs(), PLANNERS):
+        for item, video in items:
+            outcome, _ = _run(item, video, config, planner, mock_backend)
+            records = outcome.stage_records
+            assert [r.stage_name for r in records] == list(STAGE_NAMES)
+            start = MemoryState(FrameWindow.full(video.frame_count), item.qa.question)
+            assert records[0].memory_before == start.to_json_dict()
+            grounded = records[1].memory_after["grounded_window"]
+            for prev, record in zip(records, records[1:]):
+                expected = prev.memory_after
+                if config.grounded_to_prediction_only and record.stage_name == "reasoning":
+                    # the swap: reasoning sees only the window's middle frame
+                    frames = expected["frame_ids"]
+                    expected = {**expected, "grounded_window": [frames[len(frames) // 2]]}
+                elif config.grounded_to_prediction_only and record.stage_name == "prediction":
+                    # and prediction gets the grounded window back
+                    expected = {**expected, "grounded_window": grounded}
+                assert record.memory_before == expected, (record.stage_name, config)

@@ -138,7 +138,7 @@ def test_mock_complete_predict_overlap_and_tie(backend):
 def test_mock_complete_planner_routes_to_rules(backend):
     memory = MemoryState(frame_ids=FrameWindow.full(10),
                          question="why is the cat lying on its back at the end of the video?")
-    prompt = build_planner_prompt("event_parsing", memory)
+    prompt = build_planner_prompt("event_parsing", memory.to_json_dict())
     resp = backend.dispatch(ToolRequest(1, "complete", "v1", None, {"prompt": prompt}))
     assert resp.ok
     assert 'trim("end")' in resp.result
@@ -350,8 +350,14 @@ _FIRST_PAIR = _recorded(ToolRequest(1, "caption", "v1", 5),
      "reply id 3 to request id 2"),
     (_recorded(_SCORE, '{"id": 2, "ok": "no", "result": 0.5, "error": null}'),
      "ok must be a boolean"),
+    ('{"id": 2, "method": "caption", "video_id": "v1", "frame_id": 5, "args": ["ab"]}\n'
+     '{"id": 2, "ok": true, "result": "c", "error": null}\n', "args must be dict"),
+    ('{"id": 2, "method": "vqa", "video_id": "v1", "frame_id": 5, '
+     '"args": [["question", "what?"]]}\n{"id": 2, "ok": true, "result": "a", "error": null}\n',
+     "args must be dict"),
 ], ids=["bad-json", "json-array", "not-utf8", "odd-line-count", "bad-reply-json",
-        "deep-reply", "reply-shape", "reply-id", "non-bool-ok"])
+        "deep-reply", "reply-shape", "reply-id", "non-bool-ok", "args-string-list",
+        "args-pair-list"])
 def test_bad_recording_raises_recording_error(tmp_path, pair, complaint):
     path = tmp_path / "rec.jsonl"
     path.write_bytes((_FIRST_PAIR + pair).encode("latin-1"))
