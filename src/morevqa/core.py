@@ -77,7 +77,9 @@ class FrameWindow:
     frame_ids: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        ids = tuple(map(int, self.frame_ids))
+        ids = tuple(self.frame_ids)
+        if not all(type(f) is int for f in ids):
+            raise ValueError(f"frame ids must be integers, got {ids!r}")
         object.__setattr__(self, "frame_ids", ids)
         if ids and ids[0] < 0:
             raise ValueError("frame ids must be non-negative")
@@ -86,7 +88,7 @@ class FrameWindow:
 
     @classmethod
     def full(cls, frame_count: int) -> "FrameWindow":
-        return cls(tuple(range(frame_count)))
+        return _derived_window(tuple(range(frame_count)))
 
     def __len__(self) -> int:
         return len(self.frame_ids)
@@ -105,6 +107,17 @@ class FrameWindow:
 
     def to_list(self) -> list[int]:
         return list(self.frame_ids)
+
+
+def _derived_window(ids: tuple[int, ...]) -> FrameWindow:
+    """The window over `ids`, set without the constructor's checks. Only for
+    ids the engine derives from a valid window or a range (an order-keeping
+    subsequence, a slice, computed sample ids), which are strictly increasing
+    non-negative ints by construction; outside input goes through
+    `FrameWindow(...)`."""
+    window = object.__new__(FrameWindow)
+    object.__setattr__(window, "frame_ids", ids)
+    return window
 
 
 @dataclass(frozen=True)
@@ -180,16 +193,26 @@ class MemoryState:
 
     @classmethod
     def from_json_dict(cls, obj: dict[str, Any]) -> "MemoryState":
-        grounded = obj.get("grounded_window")
+        """Read a memory snapshot whose fields have exactly their JSON types;
+        a field of another type is a ValueError, never coerced."""
+        expect_type(obj, "memory", dict)
+        event_queue = expect_type(obj.get("event_queue", []), "event_queue", list)
+        for event in event_queue:
+            expect_type(event, "an event", str)
+        extra = expect_type(obj.get("extra", {}), "extra", dict)
+        for value in extra.values():
+            expect_type(value, "an extra value", str)
+        grounded = expect_type(obj.get("grounded_window"), "grounded_window", list, NoneType)
         return cls(
-            frame_ids=FrameWindow(tuple(obj["frame_ids"])),
-            question=obj["question"],
-            event_queue=list(obj.get("event_queue", [])),
-            conjunction=TemporalConjunction(obj.get("conjunction", "none")),
-            qa_type=QAType(obj.get("qa_type", "other")),
-            require_ocr=bool(obj.get("require_ocr", False)),
-            extra=dict(obj.get("extra", {})),
-            grounded_window=FrameWindow(tuple(grounded)) if grounded is not None else None,
+            frame_ids=FrameWindow(expect_type(obj["frame_ids"], "frame_ids", list)),
+            question=expect_type(obj["question"], "question", str),
+            event_queue=list(event_queue),
+            conjunction=TemporalConjunction(
+                expect_type(obj.get("conjunction", "none"), "conjunction", str)),
+            qa_type=QAType(expect_type(obj.get("qa_type", "other"), "qa_type", str)),
+            require_ocr=expect_type(obj.get("require_ocr", False), "require_ocr", bool),
+            extra=dict(extra),
+            grounded_window=FrameWindow(grounded) if grounded is not None else None,
         )
 
 
@@ -259,7 +282,7 @@ def uniform_sample(frame_count: int, n: int) -> FrameWindow:
     if n < 1:
         raise ValueError("n must be >= 1")
     m = min(n, frame_count)
-    return FrameWindow(tuple(int((k + 0.5) * frame_count / m) for k in range(m)))
+    return _derived_window(tuple(int((k + 0.5) * frame_count / m) for k in range(m)))
 
 
 def window_to_seconds(window: FrameWindow, fps: float) -> tuple[float, float]:

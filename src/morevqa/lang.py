@@ -44,10 +44,22 @@ class InterpreterError(Exception):
 
 
 # --- AST ---
+#
+# The planner builds about 20 StringLit, BoolLit, CallStmt and Program nodes
+# per item. Like the wire records in `tools`, these four set their slots in a
+# hand-written `__init__`, through member descriptors bound below each class,
+# instead of the frozen dataclass's `object.__setattr__` per field. Equality,
+# hashing, repr and the frozen `__setattr__` stay the dataclass's own.
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StringLit:
     value: str
+
+    def __init__(self, value: str) -> None:
+        _set_string_value(self, value)
+
+
+_set_string_value = StringLit.value.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,9 +72,15 @@ class FloatLit:
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BoolLit:
     value: bool
+
+    def __init__(self, value: bool) -> None:
+        _set_bool_value(self, value)
+
+
+_set_bool_value = BoolLit.value.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +109,18 @@ class ListLit:
 Expr = Any  # one of the expression node classes above
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CallStmt:
     name: str
     args: tuple = ()
+
+    def __init__(self, name: str, args: tuple = ()) -> None:
+        _set_call_name(self, name)
+        _set_call_args(self, args)
+
+
+_set_call_name = CallStmt.name.__set__
+_set_call_args = CallStmt.args.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +151,15 @@ class Return:
 Stmt = Any  # one of CallStmt, Assign, If, For, Return
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Program:
     statements: tuple = ()
+
+    def __init__(self, statements: tuple = ()) -> None:
+        _set_program_statements(self, statements)
+
+
+_set_program_statements = Program.statements.__set__
 
 
 # --- lexer ---

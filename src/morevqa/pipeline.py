@@ -12,6 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Any
 
 from .core import (
@@ -25,6 +26,7 @@ from .core import (
     TemporalRegion,
     VideoMeta,
     MAX_EVENTS,
+    _derived_window,
     uniform_sample,
     window_to_seconds,
 )
@@ -59,14 +61,6 @@ class StageError(Exception):
 
 
 @dataclass
-class ContextBlock:
-    """Temporally sorted caption and grounded-VQA entries plus their text."""
-
-    entries: list[dict[str, Any]]
-    rendered: str
-
-
-@dataclass
 class RunOutcome:
     answer: str
     mc_index: int | None
@@ -93,9 +87,10 @@ class RunOutcome:
 
 # --- planners ---
 #
-# A planner's `plan(stage, memory, prompt, session, video_id)` returns the
-# stage's program text and the Program it stands for. `prompt` is built once
-# by the stage loop from the stage's `memory_before` snapshot.
+# A planner's `plan(stage, memory, prompt, session, video_id)` returns
+# `(reply, program)`: the raw text a model sent, or None when the planner
+# built the Program itself, and the Program. `prompt` is built once by the
+# stage loop from the stage's `memory_before` snapshot.
 
 class RuleBasedPlanner:
     """Emits stage programs directly from the keyword tables; no tool access."""
@@ -103,9 +98,8 @@ class RuleBasedPlanner:
     kind = "rule_based"
 
     def plan(self, stage: str, memory: MemoryState, prompt: str, session: ToolSession,
-             video_id: str | None) -> tuple[str, Program]:
-        program = rule_plan(stage, memory)
-        return render(program), program
+             video_id: str | None) -> tuple[None, Program]:
+        return None, rule_plan(stage, memory)
 
 
 class LlmBackedPlanner:
@@ -136,12 +130,12 @@ def apply_trim(window: FrameWindow, region: TemporalRegion, mode: str = "keep") 
         kept = n - kept
     m = max(1, kept)
     if region is TemporalRegion.BEGINNING:
-        return FrameWindow(ids[:m])
+        return _derived_window(ids[:m])
     if region is TemporalRegion.END:
-        return FrameWindow(ids[n - m :])
+        return _derived_window(ids[n - m :])
     start = n // 2 - m // 2
     start = max(0, min(start, n - m))
-    return FrameWindow(ids[start : start + m])
+    return _derived_window(ids[start : start + m])
 
 
 def apply_conjunction(
@@ -163,7 +157,7 @@ def apply_conjunction(
         picked = universe.frame_ids
     if not picked:
         picked = anchor.frame_ids
-    return FrameWindow(picked)
+    return _derived_window(picked)
 
 
 # --- stage runners ---
@@ -309,9 +303,9 @@ def run_grounding(
             if anchor:
                 window = set(
                     apply_conjunction(
-                        FrameWindow(tuple(sorted(anchor))),
+                        _derived_window(tuple(f for f in base if f in anchor)),
                         memory.conjunction,
-                        FrameWindow(tuple(base)),
+                        memory.frame_ids,
                     )
                 )
             else:
@@ -329,8 +323,9 @@ def run_grounding(
         grounded = event_sets[memory.event_queue[0]]
     else:
         grounded = set().union(*event_sets.values())
-    memory.grounded_window = FrameWindow(
-        tuple(sorted(grounded)) or (memory.frame_ids.middle_frame(),)
+    # every grounded frame is one of base's, so base's order sorts them
+    memory.grounded_window = _derived_window(
+        tuple(f for f in base if f in grounded) or (memory.frame_ids.middle_frame(),)
     )
 
 
@@ -344,7 +339,7 @@ def run_reasoning(
     """Register and ask the subquestions on the grounded frames; when the
     program makes no call but `noop`, as the empty one, ask the (possibly
     revised) question itself."""
-    grounded = memory.grounded_window or FrameWindow()
+    grounded = memory.grounded_window or ()
     prefix = "ocr" if memory.require_ocr else None
     registered: list[str] = []
     calls = _stage_calls(program, "reasoning") or [("vqa_on_grounded", [memory.question])]
@@ -366,7 +361,7 @@ def _plan(
     planner,
     session: ToolSession,
     video: VideoMeta,
-) -> tuple[str, Program]:
+) -> tuple[str | None, Program]:
     try:
         return planner.plan(stage, memory, prompt, session, video.video_id)
     except ToolError as exc:
@@ -377,24 +372,19 @@ def _plan(
 
 # --- context assembly and prediction ---
 
-_EXTRA_KEY_KINDS = ("caption", "grounded_vqa")
-
-
 def build_context(
     memory: MemoryState, video: VideoMeta, session: ToolSession, n: int
-) -> ContextBlock:
-    """Caption n uniform frames and merge grounded VQA notes, sorted by frame."""
+) -> list[str]:
+    """The context lines: captions of n uniform frames merged with the
+    grounded VQA notes, sorted by (frame, caption before qa, subquestion).
+    The key never holds the line text, so ties keep insertion order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    entries: list[dict[str, Any]] = []
-    for frame_id in uniform_sample(video.frame_count, n):
-        entries.append(
-            {
-                "frame_id": frame_id,
-                "kind": "caption",
-                "text": session.caption(video.video_id, frame_id),
-            }
-        )
+    video_id = video.video_id
+    entries = [
+        ((frame_id, 0, -1), f"[frame {frame_id}] caption: {session.caption(video_id, frame_id)}")
+        for frame_id in uniform_sample(video.frame_count, n)
+    ]
     for key, answer in memory.extra.items():
         parts = key.split("_frame_")
         if len(parts) != 2 or not parts[0].startswith("sq_"):
@@ -403,22 +393,13 @@ def build_context(
         if not frame_text.isdigit():
             continue
         sub_question = memory.extra.get(sub_key, memory.question)
+        frame_id = int(frame_text)
+        sub_index = int(sub_key[3:]) if sub_key[3:].isdigit() else 0
         entries.append(
-            {
-                "frame_id": int(frame_text),
-                "kind": "grounded_vqa",
-                "text": f"{sub_question} -> {answer}",
-                "sub_index": int(sub_key[3:]) if sub_key[3:].isdigit() else 0,
-            }
+            ((frame_id, 1, sub_index), f"[frame {frame_id}] qa: {sub_question} -> {answer}")
         )
-    entries.sort(
-        key=lambda e: (e["frame_id"], _EXTRA_KEY_KINDS.index(e["kind"]), e.get("sub_index", -1))
-    )
-    lines = []
-    for entry in entries:
-        label = "caption" if entry["kind"] == "caption" else "qa"
-        lines.append(f"[frame {entry['frame_id']}] {label}: {entry['text']}")
-    return ContextBlock(entries, "\n".join(lines))
+    entries.sort(key=itemgetter(0))
+    return [line for _, line in entries]
 
 
 def map_reply_to_candidate(reply: str, candidates: tuple[str, ...]) -> int:
@@ -448,14 +429,13 @@ def answer_from_reply(
 
 
 def final_predict(
-    context: ContextBlock,
+    context_lines: list[str],
     qa: QAItem,
     session: ToolSession,
     video_id: str | None = None,
     extra_lines: list[str] | None = None,
 ) -> tuple[str, int | None, str, str]:
     """Returns (answer_text, mc_index, prompt, raw_reply)."""
-    context_lines = context.rendered.split("\n") if context.rendered else []
     if extra_lines:
         context_lines = context_lines + extra_lines
     prompt = build_predict_prompt(qa.question, qa.candidates, context_lines)
@@ -503,22 +483,27 @@ def run_morevqa(
                 if config.grounded_to_prediction_only:
                     if memory.frame_ids:
                         # ablation: reasoning sees only the ungrounded middle frame
-                        memory.grounded_window = FrameWindow((memory.frame_ids.middle_frame(),))
+                        memory.grounded_window = _derived_window(
+                            (memory.frame_ids.middle_frame(),))
                     snapshot = memory.to_json_dict()
             before = snapshot
             trace_start = len(session.trace)
-            prompt, program_text, program = "", "", Program()
+            prompt, emitted, parsed, program = "", "", None, Program()
             if enabled:
                 prompt = build_planner_prompt(stage, before)
-                program_text, program = _plan(stage, memory, prompt, planner, session, video)
+                reply, program = _plan(stage, memory, prompt, planner, session, video)
+                # one render per stage; a planner that built the Program
+                # itself sent no text, so its rendering is the emitted text
+                parsed = render(program)
+                emitted = parsed if reply is None else reply
             runner(program, memory, video, session, config)
             snapshot = memory.to_json_dict()
             records.append(
                 StageRecord(
                     stage_name=stage,
                     planner_prompt=prompt,
-                    emitted_program=program_text,
-                    parsed_program=render(program) if enabled else None,
+                    emitted_program=emitted,
+                    parsed_program=parsed,
                     tool_calls=session.trace[trace_start:],
                     memory_before=before,
                     memory_after=snapshot,

@@ -53,7 +53,7 @@ _REGION_PHRASE = re.compile(
     re.IGNORECASE,
 )
 _FINALLY_LEAD = re.compile(r"^\s*finally\s*,?\s*", re.IGNORECASE)
-_SPACE_BEFORE_PUNCT = re.compile(r"\s+([?.!,])")
+_SPACE_BEFORE_PUNCT = re.compile(r"\s+(?=[?.!,])")
 
 _QTYPE_BY_LEAD = {
     "why": QAType.WHY,
@@ -101,7 +101,7 @@ def strip_region_phrase(question: str) -> str:
     revised = _REGION_PHRASE.sub("", question)
     revised = _FINALLY_LEAD.sub("", revised)
     revised = " ".join(revised.split())
-    revised = _SPACE_BEFORE_PUNCT.sub(r"\1", revised)
+    revised = _SPACE_BEFORE_PUNCT.sub("", revised)
     return revised
 
 

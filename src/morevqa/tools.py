@@ -616,6 +616,10 @@ class RemoteBackend(ReplyStore):
 
     def _miss(self, req: ToolRequest) -> ToolResponse:
         payload = json.dumps(req.to_json_dict()) + "\n"
+        # Write, read, check and (on a bad reply) close in one lock hold: a
+        # stream that is out of step must be dropped before another thread
+        # can read from it, since every session numbers its requests from 1
+        # and the id check alone would accept another item's stray reply.
         with self._lock:
             try:
                 self._connect()
@@ -625,14 +629,15 @@ class RemoteBackend(ReplyStore):
             except OSError as exc:
                 self._close_locked()
                 return ToolResponse(req.id, ok=False, error=f"transport: {exc}")
-        if not line:
-            self.close()
-            return ToolResponse(req.id, ok=False, error="transport: connection closed by server")
-        try:
-            return _read_reply(line, req)
-        except ValueError as exc:
-            self.close()  # the stream may be out of step; the next call reconnects
-            return ToolResponse(req.id, ok=False, error=f"transport: {exc}")
+            if not line:
+                self._close_locked()
+                return ToolResponse(req.id, ok=False,
+                                    error="transport: connection closed by server")
+            try:
+                return _read_reply(line, req)
+            except ValueError as exc:
+                self._close_locked()  # the next call reconnects
+                return ToolResponse(req.id, ok=False, error=f"transport: {exc}")
 
 
 # --- record / replay ---
@@ -741,32 +746,30 @@ class ToolSession:
         video_id: str | None = None,
         frame_id: int | None = None,
         args: dict[str, Any] | None = None,
-    ) -> ToolResponse:
-        args = args or {}
+    ) -> Any:
+        """Send one call and append its trace record. Returns the result of
+        an ok reply; raises ToolError on any other."""
+        if args is None:
+            args = {}
         req_id = self._next_id
         self._next_id = req_id + 1
         resp = self.backend.dispatch(ToolRequest(req_id, method, video_id, frame_id, args))
         call_args = {"video_id": video_id, "frame_id": frame_id, **args}
         if resp.ok:
-            record = {"method": method, "args": call_args, "result": resp.result}
-        else:
-            record = {"method": method, "args": call_args, "result": None, "error": resp.error}
-        self.trace.append(record)
-        return resp
-
-    def _unwrap(self, resp: ToolResponse, method: str) -> Any:
-        if not resp.ok:
-            raise ToolError(method, resp.error or "unknown error")
-        return resp.result
+            self.trace.append({"method": method, "args": call_args, "result": resp.result})
+            return resp.result
+        self.trace.append(
+            {"method": method, "args": call_args, "result": None, "error": resp.error})
+        raise ToolError(method, resp.error or "unknown error")
 
     def caption(self, video_id: str, frame_id: int) -> str:
-        return self._unwrap(self.dispatch("caption", video_id, frame_id), "caption")
+        return self.dispatch("caption", video_id, frame_id)
 
     def vqa(self, video_id: str, frame_id: int, question: str, prefix: str | None = None) -> str:
         args: dict[str, Any] = {"question": question}
         if prefix is not None:
             args["prefix"] = prefix
-        return self._unwrap(self.dispatch("vqa", video_id, frame_id, args), "vqa")
+        return self.dispatch("vqa", video_id, frame_id, args)
 
     def localize(
         self,
@@ -780,14 +783,13 @@ class ToolSession:
         args: dict[str, Any] = {"object": object_phrase, "frames": list(frames)}
         if stage is not None:
             args["stage"] = stage
-        return self._unwrap(self.dispatch("localize", video_id, None, args), "localize")
+        return self.dispatch("localize", video_id, None, args)
 
     def verify_action(self, video_id: str, frame_id: int, action: str) -> bool:
-        args = {"action": action}
-        return self._unwrap(self.dispatch("verify_action", video_id, frame_id, args), "verify_action")
+        return self.dispatch("verify_action", video_id, frame_id, {"action": action})
 
     def score(self, video_id: str, frame_id: int, text: str) -> float:
-        return self._unwrap(self.dispatch("score", video_id, frame_id, {"text": text}), "score")
+        return self.dispatch("score", video_id, frame_id, {"text": text})
 
     def complete(self, prompt: str, video_id: str | None = None) -> str:
-        return self._unwrap(self.dispatch("complete", video_id, None, {"prompt": prompt}), "complete")
+        return self.dispatch("complete", video_id, None, {"prompt": prompt})

@@ -48,6 +48,34 @@ def test_frame_window_rejects_unsorted():
         FrameWindow((-1, 0))
 
 
+@pytest.mark.parametrize("ids", [(0.5, 1.9), ("3", "7"), (True, 2), (1, 2.0)])
+def test_frame_window_refuses_ids_that_are_not_ints(ids):
+    # a float, string or bool id is refused, never coerced to an int
+    with pytest.raises(ValueError):
+        FrameWindow(ids)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("frame_ids", [0.5, 1.9, 4]),
+    ("frame_ids", "ab"),
+    ("question", 5),
+    ("event_queue", "ab"),
+    ("event_queue", [1]),
+    ("conjunction", 1),
+    ("qa_type", None),
+    ("require_ocr", "false"),
+    ("require_ocr", 0),
+    ("extra", [["k", "v"]]),
+    ("extra", {"sq_0": 3}),
+    ("grounded_window", "ab"),
+    ("grounded_window", [False]),
+])
+def test_memory_from_json_refuses_wrong_types(field, value):
+    obj = MemoryState(frame_ids=FrameWindow((0, 1)), question="q").to_json_dict()
+    with pytest.raises(ValueError):
+        MemoryState.from_json_dict({**obj, field: value})
+
+
 def test_frame_window_middle_frame_floor_midpoint():
     assert FrameWindow(tuple(range(10))).middle_frame() == 5
     assert FrameWindow((4, 9)).middle_frame() == 9

@@ -57,8 +57,8 @@ def test_bench_render(benchmark, plan_text):
 def test_bench_rule_planner_plan(benchmark):
     memory = MemoryState(FrameWindow.full(32), QUESTION)
     prompt = build_planner_prompt("event_parsing", memory.to_json_dict())
-    text, program = benchmark(RuleBasedPlanner().plan, "event_parsing", memory, prompt, None, None)
-    assert text == render(program) and parse(text, FLAT) == program
+    reply, program = benchmark(RuleBasedPlanner().plan, "event_parsing", memory, prompt, None, None)
+    assert reply is None and parse(render(program), FLAT) == program
 
 
 def test_bench_stage_calls(benchmark, plan_text):
@@ -87,7 +87,7 @@ def context_text(oracle_bundle, mock_backend):
     """The rendered context block of an oracle item: 16 caption lines."""
     video = oracle_bundle.fixtures["v000"].video_meta()
     memory = MemoryState(FrameWindow.full(video.frame_count), QUESTION)
-    return build_context(memory, video, ToolSession(mock_backend), 16).rendered
+    return "\n".join(build_context(memory, video, ToolSession(mock_backend), 16))
 
 
 def test_bench_normalize_context(benchmark, context_text):
@@ -150,7 +150,7 @@ def test_bench_build_context(benchmark, oracle_bundle, mock_backend):
         session.trace.clear()
         return build_context(memory, video, session, 16)
 
-    assert len(benchmark(context).entries) == 17
+    assert len(benchmark(context)) == 17
 
 
 def test_bench_run_morevqa_item(benchmark, oracle_bundle, mock_backend):

@@ -16,11 +16,11 @@ from morevqa.core import (
     RunConfig,
     TemporalConjunction,
     TemporalRegion,
+    uniform_sample,
 )
 from morevqa.lang import FLAT, Assign, CallStmt, Program, parse, render
 from morevqa.pipeline import (
     STAGE_CALLS,
-    ContextBlock,
     RuleBasedPlanner,
     LlmBackedPlanner,
     StageError,
@@ -69,9 +69,10 @@ def _run_stage(stage, memory, video, session, config=None):
     """Plan one stage with the rule planner and run its program on the
     memory; returns the emitted program text."""
     prompt = build_planner_prompt(stage, memory.to_json_dict())
-    text, program = RuleBasedPlanner().plan(stage, memory, prompt, session, video.video_id)
+    reply, program = RuleBasedPlanner().plan(stage, memory, prompt, session, video.video_id)
+    assert reply is None  # the rule planner sends no text; its rendering is emitted
     RUNNERS[stage](program, memory, video, session, config or RunConfig())
-    return text
+    return render(program)
 
 
 def _run_stages(stages, qa, video, session, config=None):
@@ -147,6 +148,43 @@ def test_apply_conjunction_subset_of_universe(ids, data, conj):
     anchor = FrameWindow(tuple(sorted(anchor_ids)))
     result = apply_conjunction(anchor, conj, universe)
     assert set(result.to_list()) <= set(universe.to_list())
+
+
+# --- derived windows ---
+
+def _assert_checked(window):
+    """The window equals itself rebuilt through the checked constructor."""
+    assert type(window) is FrameWindow and type(window.frame_ids) is tuple
+    assert FrameWindow(window.frame_ids) == window
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=40, unique=True),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=64),
+    st.data(),
+)
+def test_derived_windows_equal_checked_windows(ids, frame_count, n, data):
+    universe = FrameWindow(tuple(sorted(ids)))
+    anchor_ids = data.draw(st.lists(st.sampled_from(universe.to_list()), min_size=1, unique=True))
+    anchor = FrameWindow(tuple(sorted(anchor_ids)))
+    derived = [FrameWindow.full(frame_count), uniform_sample(frame_count, n)]
+    derived += [apply_trim(universe, region, mode)
+                for region in TemporalRegion for mode in ("keep", "remove")]
+    derived += [apply_conjunction(anchor, conj, universe) for conj in TemporalConjunction]
+    for window in derived:
+        _assert_checked(window)
+
+
+def test_grounded_windows_equal_checked_windows(oracle_bundle, mock_backend):
+    configs = (RunConfig(), RunConfig(trim_mode="remove"),
+               RunConfig(grounded_to_prediction_only=True))
+    for index, config in itertools.product(range(len(oracle_bundle.rows)), configs):
+        qa, video = _qa(oracle_bundle, index), _video(oracle_bundle, index)
+        session = ToolSession(mock_backend)
+        out = run_morevqa(video, qa, config, RuleBasedPlanner(), session)
+        assert out.failure is None
+        _assert_checked(out.grounded_window)
 
 
 # --- stage 1 ---
@@ -320,11 +358,10 @@ def test_build_context_counts_and_sorting(oracle_bundle, mock_backend):
     memory.extra["sq_0"] = "what is here?"
     memory.extra["sq_0_frame_14"] = "an answer"
     session = ToolSession(mock_backend)
-    context = build_context(memory, video, session, 16)
-    assert len(context.entries) == 17
-    frame_ids = [e["frame_id"] for e in context.entries]
+    lines = build_context(memory, video, session, 16)
+    assert len(lines) == 17
+    frame_ids = [int(line[len("[frame "):line.index("]")]) for line in lines]
     assert frame_ids == sorted(frame_ids)
-    lines = context.rendered.split("\n")
     qa_line = next(l for l in lines if "] qa: " in l)
     assert qa_line == "[frame 14] qa: what is here? -> an answer"
     position = lines.index(qa_line)
@@ -335,9 +372,9 @@ def test_build_context_counts_and_sorting(oracle_bundle, mock_backend):
 def test_build_context_pure_captions_without_grounding(oracle_bundle, mock_backend):
     video = _video(oracle_bundle, 0)
     memory = MemoryState(frame_ids=FrameWindow.full(32), question="q")
-    context = build_context(memory, video, ToolSession(mock_backend), 16)
-    assert all(e["kind"] == "caption" for e in context.entries)
-    assert len(context.entries) == 16
+    lines = build_context(memory, video, ToolSession(mock_backend), 16)
+    assert all(line.split("] ", 1)[1].startswith("caption: ") for line in lines)
+    assert len(lines) == 16
 
 
 def test_map_reply_overlap_and_exact():
@@ -355,8 +392,7 @@ def test_answer_from_reply_maps_or_passes_through():
 
 def test_final_predict_single_candidate(oracle_bundle, mock_backend):
     qa = QAItem(question="q?", candidates=("only option",))
-    context = ContextBlock([], "")
-    answer, idx, prompt, _ = final_predict(context, qa, ToolSession(mock_backend), "v000")
+    answer, idx, prompt, _ = final_predict([], qa, ToolSession(mock_backend), "v000")
     assert idx == 0 and answer == "only option"
     assert prompt.startswith("#predict")
 
@@ -367,7 +403,7 @@ def test_final_predict_open_ended_passthrough(oracle_bundle, mock_backend):
     qa = _qa(oracle_bundle, index)
     video_id = oracle_bundle.rows[index]["video_id"]
     correct = oracle_bundle.rows[index]["answer_open"][0]
-    context = ContextBlock([], f"[frame 3] qa: q -> {correct}")
+    context = [f"[frame 3] qa: q -> {correct}"]
     answer, idx, _, reply = final_predict(context, qa, ToolSession(mock_backend), video_id)
     assert idx is None
     assert answer == reply == correct
@@ -411,6 +447,31 @@ def test_run_morevqa_m3_off_question_only_vqa(oracle_bundle, mock_backend):
     assert vqa_calls
     revised = out.stage_records[0].memory_after["question"]
     assert all(c["args"]["question"] == revised for c in vqa_calls)
+
+
+def test_default_item_renders_once_per_stage_and_parses_nothing(
+        oracle_bundle, mock_backend, monkeypatch):
+    import morevqa.lang
+    import morevqa.pipeline
+
+    calls = {"render": 0, "parse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(morevqa.pipeline, "render", counted("render", morevqa.pipeline.render))
+    for module in (morevqa.pipeline, morevqa.lang):
+        monkeypatch.setattr(module, "parse", counted("parse", morevqa.lang.parse))
+    qa, video = _qa(oracle_bundle, 4), _video(oracle_bundle, 4)
+    out = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
+    assert out.failure is None and out.mc_index == qa.answer_mc
+    assert calls == {"render": 3, "parse": 0}
+    # the rule planner's rendering is both the emitted and the parsed program
+    for record in out.stage_records[:3]:
+        assert record.emitted_program == record.parsed_program
 
 
 def test_run_morevqa_failure_is_structured(oracle_bundle, mock_backend):

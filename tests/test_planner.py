@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from morevqa.core import FrameWindow, MemoryState, QAType, TemporalConjunction
 from morevqa.lang import FLAT, parse, render
 from morevqa.planner import (
+    _SPACE_BEFORE_PUNCT,
     classify_question,
     counted_object,
     extract_events,
@@ -143,3 +147,15 @@ def test_emitted_programs_always_parse(stage, oracle_bundle):
 
             run_event_parsing(program, memory, None, None, RunConfig())
         parse(render(rule_plan(stage, memory)), FLAT)
+
+
+# the earlier form of `_SPACE_BEFORE_PUNCT`, which captured the mark and
+# wrote it back through a `\1` template
+_OLD_SPACE_BEFORE_PUNCT = re.compile(r"\s+([?.!,])")
+
+
+@given(st.text(alphabet=st.sampled_from(" \t\n\u3000\x1c\x85\xa0?.!,ab") | st.characters(),
+               max_size=40))
+def test_space_before_punct_matches_the_capturing_form(text):
+    assert (_SPACE_BEFORE_PUNCT.sub("", text)
+            == _OLD_SPACE_BEFORE_PUNCT.sub(r"\1", text))

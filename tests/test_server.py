@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from morevqa.harness import load_dataset, run_eval
 from morevqa.server import _reply_line, parse_listen_address, start_server
-from morevqa.tools import METHODS, RemoteBackend, ToolRequest
+from morevqa import tools
+from morevqa.tools import METHODS, RemoteBackend, ToolError, ToolRequest, ToolSession
 
 
 class CountingBackend:
@@ -298,6 +299,74 @@ def test_remote_rejects_bad_reply(reply, req):
     assert resp.id == 1 and resp.error.startswith("transport:")
     remote.close()
     fake.sock.close()
+
+
+class _OutOfStepServer:
+    """Answers the first request it reads with a line that is not a reply and
+    then a stray reply for the same id, and every later request, on any
+    connection, with the caption `frame <frame_id>`."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self.sock.getsockname()[1]
+        self.first = True
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        with conn, conn.makefile("rwb") as fh:
+            try:
+                for line in iter(fh.readline, b""):
+                    req = json.loads(line)
+                    reply = {"id": req["id"], "ok": True, "error": None,
+                             "result": f"frame {req['frame_id']}"}
+                    if self.first:
+                        self.first = False
+                        fh.write(b"not a reply\n")
+                        reply["result"] = "a stray caption"
+                    fh.write(json.dumps(reply).encode() + b"\n")
+                    fh.flush()
+            except OSError:
+                pass
+
+
+def test_remote_drops_a_bad_stream_before_another_thread_reads_it(monkeypatch):
+    # Two items' sessions both number their first request 1. The first reads
+    # a bad line; while it checks that line, the second item dispatches on
+    # the same client. It must not read the stray reply left on the stream.
+    fake = _OutOfStepServer()
+    remote = RemoteBackend("127.0.0.1", fake.port, timeout_s=5)
+    read_reply = tools._read_reply
+    second = {}
+
+    def second_item():
+        second["caption"] = ToolSession(remote).caption("v000", 5)
+
+    other = threading.Thread(target=second_item)
+
+    def reading(line, req):
+        if req.frame_id == 0:
+            other.start()
+            other.join(timeout=0.5)  # a client that releases its lock here lets it finish
+        return read_reply(line, req)
+
+    monkeypatch.setattr(tools, "_read_reply", reading)
+    try:
+        with pytest.raises(ToolError, match="transport:"):
+            ToolSession(remote).caption("v000", 0)
+        other.join(timeout=5)
+    finally:
+        remote.close()
+        fake.sock.close()
+    assert not other.is_alive()
+    assert second == {"caption": "frame 5"}
 
 
 _JSON = st.recursive(

@@ -148,6 +148,11 @@ def test_mock_complete_planner_routes_to_rules(backend):
     "#planner:grounding\nmemory: []",
     "#planner:grounding\nmemory: {}",
     '#planner:nosuch\nmemory: {"frame_ids": [0, 1], "question": "why?"}',
+    # fields of the wrong JSON type are refused, not coerced
+    '#planner:grounding\nmemory: {"frame_ids": [0.5, 1.9, "4"], "question": "why?"}',
+    '#planner:grounding\nmemory: {"frame_ids": [true, 2], "question": "why?"}',
+    '#planner:reasoning\nmemory: {"frame_ids": [0, 1], "question": "why?", "require_ocr": "false"}',
+    '#planner:grounding\nmemory: {"frame_ids": [0, 1], "question": "why?", "event_queue": "ab"}',
 ])
 def test_mock_complete_bad_planner_prompt_is_backend_error(backend, prompt):
     resp = backend.dispatch(ToolRequest(1, "complete", "v1", None, {"prompt": prompt}))
