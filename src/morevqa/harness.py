@@ -313,7 +313,7 @@ def run_item(
         elif system == "single_stage":
             try:
                 program_text = _resolve_program_text(item, dataset_dir)
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 base = BaselineOutcome(
                     "", None, failure={"kind": "missing_program", "message": str(exc)}
                 )

@@ -3,7 +3,8 @@
 Two grammar modes exist. Flat mode admits call and assignment statements only
 and is what the stage planners emit. Extended mode adds if/else, for loops and
 return, enough to express the single-stage programs we execute; bodies are
-indentation-delimited at 4 spaces per level.
+indentation-delimited at 4 spaces per level and nest at most MAX_BLOCK_DEPTH
+blocks deep.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ EXTENDED = "extended"
 MODES = (FLAT, EXTENDED)
 
 MAX_EXPR_DEPTH = 16
+MAX_BLOCK_DEPTH = 16
 DEFAULT_STEP_BUDGET = 10_000
 
 _KEYWORDS = frozenset({"if", "else", "for", "in", "return", "true", "false"})
@@ -172,26 +174,27 @@ class _Token(NamedTuple):
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-
-_STRING = r'"[^"\\]*"'  # a string literal with no escape in it
-_NUMBER = r"-?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"  # ASCII digits only
+_ESCAPE = re.compile(r"\\(.)")
 
 # One token and the blanks after it, its kind named by the group that
-# matched. A comment, a string literal with an escape in it, a name that
-# starts with a non-ASCII letter and a bad character match nothing here and
-# are handled one at a time in `_lex_line`.
+# matched. A comment ends the line. BADSTRING matches a string literal up to
+# its fault: a backslash that starts no escape, or the end of the line.
+# Number literals take ASCII digits only. A name that starts with a non-ASCII
+# character is a WIDENAME; `[^\W\d]` also admits a numeric character such as
+# a superscript two, which `_lex_line` refuses. Anything else matches nothing
+# and is an unknown token.
 _TOKEN = re.compile(
-    rf"""(?:
-      (?P<STRING>{_STRING})
-    | (?P<NUMBER>{_NUMBER})
-    | (?P<NAME>[A-Za-z_]\w*)
+    r"""(?:
+      (?P<NAME>[A-Za-z_]\w*)
     | (?P<OP>[=!<>]=|[()\[\],=<>:])
+    | (?P<STRING>"[^"\\]*(?:\\[\\"ntr][^"\\]*)*")
+    | (?P<NUMBER>-?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
+    | (?P<COMMENT>\#.*)
+    | (?P<BADSTRING>"[^"\\]*(?:\\[\\"ntr][^"\\]*)*)
+    | (?P<WIDENAME>[^\W\d]\w*)
     )[ \t]*""",
     re.VERBOSE,
 )
-_BLANKS = re.compile(r"[ \t]*")
-_STRING_RUN = re.compile(r'[^"\\]*')
-_NAME_REST = re.compile(r"\w*")  # \w is exactly str.isalnum() or "_"
 
 
 def _number(text: str) -> int | float:
@@ -216,88 +219,40 @@ def _lex_line(content: str, line: int, col0: int, raw: str) -> list[_Token]:
     while i < n:
         col = col0 + i
         m = match(content, i)
-        if m is not None:
-            kind = m.lastgroup
-            text = m[kind]
-            if kind == "STRING":
-                value: Any = text[1:-1]
-            elif kind == "NUMBER":
-                try:
-                    value = _number(text)
-                except ValueError:
-                    raise ParseError(line, col, "number literal out of range", raw) from None
-                kind = "FLOAT" if type(value) is float else "INT"
-            else:
-                value = text
-            out.append(_Token(kind, value, line, col))
-            i = m.end()
-            continue
-        c = content[i]
-        if c == "#":  # trailing comment
-            break
-        if c == '"':
-            parts: list[str] = []
-            j = i + 1
-            while True:
-                k = _STRING_RUN.match(content, j).end()
-                parts.append(content[j:k])
-                if k >= n:
-                    raise ParseError(line, col, "unterminated string literal", raw)
-                if content[k] == '"':
-                    break
-                escape = _ESCAPES.get(content[k + 1 : k + 2])
-                if escape is None:
-                    raise ParseError(line, col0 + k, "bad escape sequence", raw)
-                parts.append(escape)
-                j = k + 2
-            out.append(_Token("STRING", "".join(parts), line, col))
-            i = k + 1
-        elif c.isalpha():
-            j = _NAME_REST.match(content, i + 1).end()
-            out.append(_Token("NAME", content[i:j], line, col))
-            i = j
-        else:
-            raise ParseError(line, col, f"unknown token {c!r}", raw)
-        i = _BLANKS.match(content, i).end()
-    return out
-
-
-# A call whose arguments are all literals, with no escape in any string, is
-# nearly every line a stage planner emits. One match reads such a line whole;
-# any other line is lexed and parsed token by token, which also reports its
-# errors.
-_LITERAL = rf"(?:{_STRING}|{_NUMBER}|true|false)"
-_SIMPLE_CALL = re.compile(
-    rf"([A-Za-z_]\w*)[ \t]*\([ \t]*((?:{_LITERAL}[ \t]*,[ \t]*)*{_LITERAL})?[ \t]*\)[ \t]*\Z"
-)
-_SIMPLE_ARG = re.compile(rf"({_STRING})|({_NUMBER})|(true|false)")
-
-
-def _simple_call(body: str) -> CallStmt | None:
-    m = _SIMPLE_CALL.match(body)
-    if m is None or m[1] in _KEYWORDS:
-        return None
-    args: list[Expr] = []
-    for string, number, word in _SIMPLE_ARG.findall(m[2] or ""):
-        if string:
-            args.append(StringLit(string[1:-1]))
-        elif word:
-            args.append(BoolLit(word == "true"))
-        else:
+        kind = None if m is None else m.lastgroup
+        if kind == "NAME" or kind == "OP":
+            value: Any = m[kind]
+        elif kind == "STRING":
+            value = m[kind][1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
+        elif kind == "NUMBER":
             try:
-                value = _number(number)
-            except ValueError:  # the lexer reports it
-                return None
-            args.append(FloatLit(value) if type(value) is float else IntLit(value))
-    return CallStmt(m[1], tuple(args))
+                value = _number(m[kind])
+            except ValueError:
+                raise ParseError(line, col, "number literal out of range", raw) from None
+            kind = "FLOAT" if type(value) is float else "INT"
+        elif kind == "COMMENT":
+            break
+        elif kind == "BADSTRING":
+            fault = m.end(kind)
+            if fault < n:  # a backslash that starts no escape
+                raise ParseError(line, col0 + fault, "bad escape sequence", raw)
+            raise ParseError(line, col, "unterminated string literal", raw)
+        elif kind == "WIDENAME" and content[i].isalpha():
+            kind, value = "NAME", m[kind]
+        else:
+            raise ParseError(line, col, f"unknown token {content[i]!r}", raw)
+        out.append(_Token(kind, value, line, col))
+        i = m.end()
+    return out
 
 
 class _Line(NamedTuple):
     level: int
-    tokens: list[_Token]  # empty when `call` holds the statement
+    tokens: list[_Token]
     lineno: int
     raw: str
-    call: CallStmt | None = None
 
 
 def _logical_lines(text: str) -> list[_Line]:
@@ -311,13 +266,7 @@ def _logical_lines(text: str) -> list[_Line]:
             raise ParseError(lineno, indent + 1, "tabs are not allowed in indentation", raw)
         if indent % 4 != 0:
             raise ParseError(lineno, indent + 1, "indentation must be a multiple of 4 spaces", raw)
-        call = _simple_call(body)
-        if call is not None:
-            lines.append(_Line(indent // 4, [], lineno, raw, call))
-            continue
-        tokens = _lex_line(body, lineno, indent + 1, raw)
-        if tokens:
-            lines.append(_Line(indent // 4, tokens, lineno, raw))
+        lines.append(_Line(indent // 4, _lex_line(body, lineno, indent + 1, raw), lineno, raw))
     return lines
 
 
@@ -424,13 +373,14 @@ class _BlockParser:
         if self.lines[self.pos].level != level + 1:
             bad = self.lines[self.pos]
             raise ParseError(bad.lineno, 1, "unexpected indentation", bad.raw)
+        if level >= MAX_BLOCK_DEPTH:
+            col = header.tokens[0].col
+            raise ParseError(header.lineno, col, "block nesting too deep", header.raw)
         return Program(tuple(self.parse_block(level + 1)))
 
     def _statement(self, level: int) -> Stmt:
         line = self.lines[self.pos]
         self.pos += 1
-        if line.call is not None:
-            return line.call
         toks = line.tokens
         head = toks[0]
 
@@ -595,25 +545,6 @@ def render(program: Program) -> str:
     for stmt in program.statements:
         lines.extend(_stmt_lines(stmt, 0))
     return "\n".join(lines)
-
-
-MODE_HEADER_FLAT = "#mode=flat"
-MODE_HEADER_EXTENDED = "#mode=extended"
-
-
-def load_program_file(path) -> tuple[Program, str]:
-    """Read a .mvp file whose first line declares the grammar mode."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    first, _, rest = text.partition("\n")
-    header = first.strip()
-    if header == MODE_HEADER_FLAT:
-        mode = FLAT
-    elif header == MODE_HEADER_EXTENDED:
-        mode = EXTENDED
-    else:
-        raise ParseError(1, 1, "missing #mode header", first)
-    return parse(rest, mode), mode
 
 
 # --- interpreter ---

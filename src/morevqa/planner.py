@@ -66,12 +66,8 @@ _QTYPE_BY_LEAD = {
 _COUNT_STOP = frozenset({"is", "are", "was", "were", "do", "does", "did", "can", "visible"})
 
 
-def classify_question(question: str) -> QAType | None:
-    """Map the leading interrogative to a question type, or None."""
-    return _classify(tokens(question))
-
-
 def _classify(toks: list[str]) -> QAType | None:
+    """Map the leading interrogative to a question type, or None."""
     if not toks:
         return None
     first = toks[0]
@@ -116,17 +112,13 @@ def _is_action_token(tok: str) -> bool:
     return tok.endswith("ing") and len(tok) > 4 and tok not in _ING_STOPWORDS
 
 
-def extract_events(question: str) -> tuple[list[str], str | None]:
-    """Split the question into at most two event phrases plus a conjunction.
+def _events(toks: list[str]) -> tuple[list[str], str | None]:
+    """Split the region-stripped question's tokens into at most two event
+    phrases plus a conjunction.
 
     A clause counts as an event only when it carries a progressive action
     token; attribute-style questions yield no events and let grounding no-op.
     """
-    return _events(tokens(strip_region_phrase(question)))
-
-
-def _events(toks: list[str]) -> tuple[list[str], str | None]:
-    """`extract_events` on the tokens of the region-stripped question."""
     conj = _find_conjunction(toks)
     clauses: list[list[str]] = []
     conj_name: str | None = None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -274,6 +275,28 @@ def test_run_eval_failures_scored_zero(oracle_dir, oracle_bundle, mock_backend):
     assert summary["failure_rate"] == pytest.approx(len(failed) / len(items))
     assert "missing_program" in summary["failures_by_kind"]
     assert "runtime_unbound" in summary["failures_by_kind"]
+
+
+_DEEP_PROGRAM = "".join("    " * i + "if true:\n" for i in range(400)) + "    " * 400 + "return 1\n"
+
+
+@pytest.mark.parametrize("content, kind, message", [
+    (None, "missing_program", "No such file"),
+    (b"\xff\xfe#mode=extended\nreturn 1\n", "missing_program", "can't decode"),
+    (_DEEP_PROGRAM.encode(), "parse_error", "block nesting too deep"),
+], ids=["unreadable", "not-utf8", "nested-400"])
+def test_single_stage_program_file_failures_are_typed(
+    tmp_path, oracle_dir, oracle_bundle, mock_backend, content, kind, message
+):
+    if content is not None:
+        (tmp_path / "prog.mvp").write_bytes(content)
+    item = dataclasses.replace(_items(oracle_dir)[0], program_path="prog.mvp")
+    results, summary = run_eval(
+        [item], "single_stage", mock_backend, oracle_bundle.fixtures, dataset_dir=tmp_path
+    )
+    assert summary["failures_by_kind"] == {kind: 1}
+    assert message in results[0].failure["message"]
+    assert results[0].correct == 0.0
 
 
 def test_replay_miss_fails_the_item_with_its_error_type(

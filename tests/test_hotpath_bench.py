@@ -1,10 +1,12 @@
-"""Micro-benchmarks of the per-item hot path: plan text to AST and back, one
-rule-planner stage, the stage-call check of a planned program, the content key
-of a tool request, text normalization of a question and of a context block,
-one caption and one prediction `complete` from the mock, a replayed caption
-through a session, one request over a loopback wire, context assembly, and one
-whole oracle item through `run_morevqa` on the mock and on a replay of its
-recording.
+"""Micro-benchmarks of the per-item hot path: plan text to AST and back, the
+oracle's authored single-stage programs parsed in extended mode (the only
+parses a default grid makes; a stage planner builds its `Program` directly and
+parses nothing), one rule-planner stage, the stage-call check of a planned
+program, the content key of a tool request, text normalization of a question
+and of a context block, one caption and one prediction `complete` from the
+mock, a replayed caption through a session, one request over a loopback wire,
+context assembly, and one whole oracle item through `run_morevqa` on the mock
+and on a replay of its recording.
 
 The default run executes each case once, as a test (`--benchmark-disable` in
 pyproject). To time them:
@@ -19,7 +21,7 @@ import itertools
 import pytest
 
 from morevqa.core import FrameWindow, MemoryState, QAItem, RunConfig
-from morevqa.lang import FLAT, parse, render
+from morevqa.lang import EXTENDED, FLAT, parse, render
 from morevqa.pipeline import RuleBasedPlanner, _stage_calls, build_context, run_morevqa
 from morevqa.planner import rule_plan
 from morevqa.prompts import build_planner_prompt, build_predict_prompt
@@ -47,6 +49,17 @@ def plan_text():
 def test_bench_parse(benchmark, plan_text):
     program = benchmark(parse, plan_text, FLAT)
     assert render(program) == plan_text
+
+
+def test_bench_parse_extended(benchmark, oracle_bundle):
+    texts = list(oracle_bundle.programs.values())
+
+    def parse_all():
+        return [parse(text, EXTENDED) for text in texts]
+
+    programs = benchmark(parse_all)
+    assert len(programs) == 3
+    assert [parse(render(p), EXTENDED) for p in programs] == programs
 
 
 def test_bench_render(benchmark, plan_text):

@@ -10,6 +10,7 @@ from astgen import random_flat_program, random_extended_program
 from morevqa.lang import (
     EXTENDED,
     FLAT,
+    MAX_BLOCK_DEPTH,
     MODES,
     Assign,
     CallExpr,
@@ -26,7 +27,6 @@ from morevqa.lang import (
     StringLit,
     Var,
     interpret,
-    load_program_file,
     parse,
     render,
 )
@@ -163,12 +163,23 @@ def test_bad_indentation_rejected():
         parse("if x == 1:\nnoop()", EXTENDED)  # missing block
 
 
-def test_depth_bound_enforced():
-    deep = "x = " + "(" * 17 + "1" + ")" * 17
+def _nested_ifs(depth: int) -> str:
+    return "".join("    " * i + "if true:\n" for i in range(depth)) + "    " * depth + "noop()"
+
+
+@pytest.mark.parametrize("deep, shallow, line", [
+    ("x = " + "(" * 17 + "1" + ")" * 17, "x = " + "(" * 10 + "1" + ")" * 10, 1),
+    # a deeper block is refused at the line that opens it, long before the
+    # parser's recursion could reach Python's limit
+    (_nested_ifs(MAX_BLOCK_DEPTH + 1), _nested_ifs(MAX_BLOCK_DEPTH), MAX_BLOCK_DEPTH + 1),
+    (_nested_ifs(400), _nested_ifs(4), MAX_BLOCK_DEPTH + 1),
+], ids=["expression", "block", "block-400"])
+def test_depth_bound_enforced(deep, shallow, line):
     with pytest.raises(ParseError) as err:
         parse(deep, EXTENDED)
     assert "deep" in err.value.message
-    parse("x = " + "(" * 10 + "1" + ")" * 10, EXTENDED)
+    assert err.value.line == line
+    parse(shallow, EXTENDED)
 
 
 def test_render_single_call():
@@ -337,14 +348,3 @@ def test_interpret_deterministic_trace():
     second = interpret(program, {}, dispatch)
     assert repr(first.calls) == repr(second.calls)
     assert first.value == second.value
-
-
-def test_load_program_file_mode_header(tmp_path):
-    path = tmp_path / "prog.mvp"
-    path.write_text("#mode=extended\nreturn 1\n", encoding="utf-8")
-    program, mode = load_program_file(path)
-    assert mode == EXTENDED
-    assert program.statements[0] == Return(IntLit(1))
-    path.write_text("return 1\n", encoding="utf-8")
-    with pytest.raises(ParseError):
-        load_program_file(path)

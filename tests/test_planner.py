@@ -9,9 +9,7 @@ from morevqa.core import FrameWindow, MemoryState, QAType, TemporalConjunction
 from morevqa.lang import FLAT, parse, render
 from morevqa.planner import (
     _SPACE_BEFORE_PUNCT,
-    classify_question,
     counted_object,
-    extract_events,
     rule_plan,
     strip_region_phrase,
     subject_of_event,
@@ -101,13 +99,18 @@ def test_stage3_other_types_noop():
     assert render(rule_plan("reasoning", memory)) == "noop()"
 
 
+def _classify_lines(question: str) -> list[str]:
+    lines = render(rule_plan("event_parsing", _memory(question))).split("\n")
+    return [line for line in lines if line.startswith("classify(")]
+
+
 def test_classify_rules():
-    assert classify_question("why is it?") is QAType.WHY
-    assert classify_question("how many dogs are there?") is QAType.COUNTING
-    assert classify_question("how does it work?") is QAType.HOW
-    assert classify_question("where is this?") is QAType.LOCATION
-    assert classify_question("describe the scene") is QAType.DESCRIPTION
-    assert classify_question("the dog barks") is None
+    assert _classify_lines("why is it?") == [f'classify("{QAType.WHY.value}")']
+    assert _classify_lines("how many dogs are there?") == [f'classify("{QAType.COUNTING.value}")']
+    assert _classify_lines("how does it work?") == [f'classify("{QAType.HOW.value}")']
+    assert _classify_lines("where is this?") == [f'classify("{QAType.LOCATION.value}")']
+    assert _classify_lines("describe the scene") == [f'classify("{QAType.DESCRIPTION.value}")']
+    assert _classify_lines("the dog barks") == []
 
 
 def test_strip_region_phrase():
@@ -128,11 +131,11 @@ def test_counted_object():
     assert counted_object("why is the sky blue?") is None
 
 
-def test_extract_events_requires_action_token():
-    events, conj = extract_events("what is in the background?")
-    assert events == [] and conj is None
-    events, conj = extract_events("what is the dog doing?")
-    assert events == []  # "doing" alone is not a groundable action
+def test_event_parsing_requires_action_token():
+    text = render(rule_plan("event_parsing", _memory("what is in the background?")))
+    assert "parse_event" not in text and "set_conjunction" not in text
+    text = render(rule_plan("event_parsing", _memory("what is the dog doing?")))
+    assert "parse_event" not in text  # "doing" alone is not a groundable action
 
 
 @pytest.mark.parametrize("stage", ["event_parsing", "grounding", "reasoning"])
