@@ -1,8 +1,9 @@
 """Newline-delimited JSON server exposing a backend over TCP.
 
-One request object per line, one response object per line. Malformed lines
-produce an `invalid:`-prefixed error response, and an exception raised by the
-backend a `backend:`-prefixed one; either way the connection stays open.
+One request object per line, one response object per line. Malformed lines,
+and lines longer than `MAX_LINE_BYTES`, produce an `invalid:`-prefixed error
+response, and an exception raised by the backend a `backend:`-prefixed one;
+either way the connection stays open.
 """
 
 from __future__ import annotations
@@ -11,11 +12,15 @@ import json
 import socketserver
 import threading
 
-from .tools import _JSON_ERRORS, ToolRequest, ToolResponse
+from .tools import _JSON_ERRORS, MAX_LINE_BYTES, ToolRequest, ToolResponse
 
 
 def _line(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+def _invalid_line(req_id: int, why: str) -> bytes:
+    return _line({"id": req_id, "ok": False, "result": None, "error": f"invalid: {why}"})
 
 
 def _reply_line(backend, text: str) -> bytes:
@@ -29,8 +34,7 @@ def _reply_line(backend, text: str) -> bytes:
             req_id = obj["id"]
         req = ToolRequest.from_json_dict(obj)
     except _JSON_ERRORS as exc:
-        return _line({"id": req_id, "ok": False, "result": None,
-                      "error": f"invalid: bad request line ({exc})"})
+        return _invalid_line(req_id, f"bad request line ({exc})")
     try:
         return _line(backend.dispatch(req).to_json_dict())
     except Exception as exc:  # a backend fault must not drop the connection
@@ -41,13 +45,19 @@ def _reply_line(backend, text: str) -> bytes:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_LINE_BYTES)
             if not line:
                 return
-            text = line.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            self.wfile.write(_reply_line(self.server.backend, text))
+            if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
+                while line and not line.endswith(b"\n"):  # skip the rest of the line
+                    line = self.rfile.readline(MAX_LINE_BYTES)
+                reply = _invalid_line(0, f"request line longer than {MAX_LINE_BYTES} bytes")
+            else:
+                text = line.decode("utf-8", errors="replace").strip()
+                if not text:
+                    continue
+                reply = _reply_line(self.server.backend, text)
+            self.wfile.write(reply)
             self.wfile.flush()
 
 

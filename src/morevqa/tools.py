@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import NoneType
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .core import VideoMeta, expect_type
 from .lang import render
@@ -29,9 +29,6 @@ from .prompts import (
 )
 from .text import jaccard, token_overlap, token_set, whole_word_matcher
 
-METHODS = ("caption", "vqa", "localize", "verify_action", "score", "complete")
-
-
 def _json_id(obj: dict[str, Any]) -> int:
     """The `id` field of a wire object. A float, bool or string id is
     refused, never coerced: the reply must carry the id that was sent."""
@@ -40,6 +37,8 @@ def _json_id(obj: dict[str, Any]) -> int:
         raise ValueError(f"id must be an integer, got {req_id!r}")
     return req_id
 
+
+MAX_LINE_BYTES = 1 << 20  # the longest wire line read, newline included
 
 # what reading a JSON request, reply or fixture into its type can raise
 _JSON_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
@@ -128,79 +127,92 @@ _set_resp_result = ToolResponse.result.__set__
 _set_resp_error = ToolResponse.error.__set__
 
 
-# method -> the string arg it requires
-_TEXT_ARG = {
-    "vqa": "question",
-    "score": "text",
-    "verify_action": "action",
-    "localize": "object",
-    "complete": "prompt",
+# --- the method-signature table ---
+
+REQUIRED, OPTIONAL, FORBIDDEN = "required", "optional", "forbidden"
+
+
+def _is_str(value: Any) -> bool:
+    return type(value) is str
+
+
+def _is_unit_number(value: Any) -> bool:
+    return type(value) in (int, float) and 0.0 <= value <= 1.0  # float() of a huge int overflows
+
+
+def _is_boxes(value: Any) -> bool:
+    """`[[frame_id, [x0, y0, x1, y1]], ...]`: int ids, boxes in [0, 1], x0 < x1, y0 < y1."""
+    return type(value) is list and all(
+        type(entry) is list and len(entry) == 2 and type(entry[0]) is int
+        and type(box := entry[1]) is list and len(box) == 4
+        and all(map(_is_unit_number, box)) and box[0] < box[2] and box[1] < box[3]
+        for entry in value)
+
+
+@dataclass(frozen=True, slots=True)
+class MethodArgs:
+    """A method's signature: `video_id` REQUIRED or OPTIONAL, `frame_id` REQUIRED or
+    FORBIDDEN, each arg in store-key order -> (exact-type check, required), result check."""
+    video_id: str
+    frame_id: str
+    args: dict[str, tuple[Callable[[Any], bool], bool]]
+    result: Callable[[Any], bool]
+
+
+METHOD_ARGS = {
+    "caption": MethodArgs(REQUIRED, REQUIRED, {}, _is_str),
+    "vqa": MethodArgs(REQUIRED, REQUIRED,
+                      {"question": (_is_str, True), "prefix": (_is_str, False)}, _is_str),
+    "localize": MethodArgs(REQUIRED, FORBIDDEN, {
+        "object": (_is_str, True),
+        "frames": (lambda v: type(v) is list and all(type(f) is int for f in v), True),
+        "stage": (_is_str, False)}, _is_boxes),
+    "verify_action": MethodArgs(REQUIRED, REQUIRED, {"action": (_is_str, True)},
+                                lambda v: type(v) is bool),
+    "score": MethodArgs(REQUIRED, REQUIRED, {"text": (_is_str, True)}, _is_unit_number),
+    "complete": MethodArgs(OPTIONAL, FORBIDDEN,
+                           {"prompt": (lambda v: _is_str(v) and v != "", True)}, _is_str),
 }
+METHODS = tuple(METHOD_ARGS)
 
 
 def validate_request(req: ToolRequest) -> str | None:
-    """Return a validation complaint, or None when the request is well formed.
-
-    A well-formed request has a string video id, integer frame ids and
-    string text args, so no backend sees a value of the wrong type. Frame ids
-    are checked with `type(...) is int`, because bool is an int subclass and
-    `True == 1` would alias frame 1.
-    """
-    if req.method not in METHODS:
-        return f"unknown method {req.method!r}"
-    if req.video_id is not None and not isinstance(req.video_id, str):
+    """Return a validation complaint, or None when the request fits its `METHOD_ARGS` row."""
+    method = req.method
+    try:
+        row = METHOD_ARGS[method]
+    except (KeyError, TypeError):  # a JSON list or object is unhashable
+        return f"unknown method {method!r}"
+    video_id, frame_id, args = req.video_id, req.frame_id, req.args
+    if video_id is None:
+        if row.video_id is REQUIRED:
+            return f"{method} requires video_id"
+    elif type(video_id) is not str:
         return "video_id must be a string"
-    if req.frame_id is not None and type(req.frame_id) is not int:
+    if frame_id is None:
+        if row.frame_id is REQUIRED:
+            return f"{method} requires frame_id"
+    elif row.frame_id is FORBIDDEN:
+        return f"{method} takes no frame_id"
+    elif type(frame_id) is not int:
         return "frame_id must be an integer"
-    if req.method in ("caption", "vqa", "score", "verify_action"):
-        if req.video_id is None:
-            return f"{req.method} requires video_id"
-        if req.frame_id is None:
-            return f"{req.method} requires frame_id"
-    if req.method == "localize":
-        if req.video_id is None:
-            return "localize requires video_id"
-        frames = req.args.get("frames")
-        if type(frames) is not list or not all(type(f) is int for f in frames):
-            return "localize requires a frames list arg"
-    text_arg = _TEXT_ARG.get(req.method)
-    if text_arg is not None and not isinstance(req.args.get(text_arg), str):
-        return f"{req.method} requires a string {text_arg} arg"
-    if req.method == "complete" and not req.args["prompt"]:
-        return "complete requires a prompt arg"
+    if row.args or args:  # a caption, most calls, has none to check
+        present = 0
+        for name, (check, required) in row.args.items():
+            if name in args:
+                if not check(args[name]):
+                    return f"{method} got a malformed {name} arg"
+                present += 1
+            elif required:
+                return f"{method} requires a {name} arg"
+        if present != len(args):
+            return f"{method} takes no {next(n for n in args if n not in row.args)!r} arg"
     return None
 
 
 def validate_result_shape(method: str, result: Any) -> bool:
     """Check the type-specific result shape of a successful response."""
-    if method in ("caption", "vqa", "complete"):
-        return isinstance(result, str)
-    if method == "verify_action":
-        return isinstance(result, bool)
-    if method == "score":
-        return (
-            isinstance(result, (int, float))
-            and not isinstance(result, bool)
-            and 0.0 <= float(result) <= 1.0
-        )
-    if method == "localize":
-        if not isinstance(result, list):
-            return False
-        for entry in result:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                return False
-            frame_id, box = entry
-            if type(frame_id) is not int:
-                return False
-            if not (isinstance(box, list) and len(box) == 4):
-                return False
-            x0, y0, x1, y1 = box
-            if not all(type(v) in (int, float) and 0.0 <= v <= 1.0 for v in box):
-                return False
-            if not (x0 < x1 and y0 < y1):
-                return False
-        return True
-    return False
+    return type(method) is str and method in METHOD_ARGS and METHOD_ARGS[method].result(result)
 
 
 # --- world fixtures ---
@@ -459,16 +471,6 @@ class MockBackend:
     def __init__(self, corpus: Mapping[str, WorldFixture]):
         self.corpus = dict(corpus)
 
-    def _fixture(self, video_id: str | None) -> WorldFixture:
-        if video_id is None or video_id not in self.corpus:
-            raise MockBackendError(f"unknown video {video_id!r}")
-        return self.corpus[video_id]
-
-    def _frame(self, fixture: WorldFixture, frame_id: int) -> FrameRecord:
-        if not 0 <= frame_id < fixture.frame_count:
-            raise MockBackendError(f"unknown frame {frame_id} of video {fixture.video_id!r}")
-        return fixture.frames[frame_id]
-
     def dispatch(self, req: ToolRequest) -> ToolResponse:
         complaint = validate_request(req)
         if complaint is not None:
@@ -480,24 +482,23 @@ class MockBackend:
         return ToolResponse(req.id, ok=True, result=result)
 
     def _route(self, req: ToolRequest) -> Any:
-        if req.method == "complete":
-            fixture = self.corpus.get(req.video_id) if req.video_id else None
-            return mock_complete(req.args["prompt"], fixture)
-        fixture = self._fixture(req.video_id)
-        if req.method == "caption":
-            return self._frame(fixture, req.frame_id).caption
-        if req.method == "vqa":
-            self._frame(fixture, req.frame_id)
-            return mock_vqa(fixture, req.frame_id, req.args["question"], req.args.get("prefix"))
-        if req.method == "score":
-            self._frame(fixture, req.frame_id)
-            return mock_score(fixture, req.frame_id, req.args["text"])
-        if req.method == "verify_action":
-            self._frame(fixture, req.frame_id)
-            return mock_verify_action(fixture, req.frame_id, req.args["action"])
-        if req.method == "localize":
-            return mock_localize(fixture, req.args["object"], req.args["frames"])
-        raise MockBackendError(f"unroutable method {req.method!r}")
+        method, frame_id, args = req.method, req.frame_id, req.args
+        fixture = self.corpus.get(req.video_id)
+        if method == "complete":
+            return mock_complete(args["prompt"], fixture)
+        if fixture is None:
+            raise MockBackendError(f"unknown video {req.video_id!r}")
+        if METHOD_ARGS[method].frame_id is REQUIRED and not 0 <= frame_id < fixture.frame_count:
+            raise MockBackendError(f"unknown frame {frame_id} of video {fixture.video_id!r}")
+        if method == "caption":
+            return fixture.frames[frame_id].caption
+        if method == "vqa":
+            return mock_vqa(fixture, frame_id, args["question"], args.get("prefix"))
+        if method == "score":
+            return mock_score(fixture, frame_id, args["text"])
+        if method == "verify_action":
+            return mock_verify_action(fixture, frame_id, args["action"])
+        return mock_localize(fixture, args["object"], args["frames"])
 
 
 # --- content-keyed reply store ---
@@ -512,18 +513,14 @@ def canonical_args(args: Mapping[str, Any]) -> str:
 
 
 def _request_key(req: ToolRequest) -> tuple:
-    """The store key of a validated request. Args whose values are all
-    exactly `str` (every method's but `localize`'s) key as their sorted
-    (name, value) pairs, with no JSON encoding; other args key as their
-    `canonical_args` string. A pair is a tuple and never equals that string,
-    so a list, bool or number never shares a key with a string."""
+    """Store key of a validated request: method, video, frame, then its args in table order
+    (absent as None, a list as a tuple); exact arg types make it equal iff `canonical_args` is."""
     args = req.args
-    if not args:
+    if not args:  # a caption, most calls
         return (req.method, req.video_id, req.frame_id)
-    for value in args.values():
-        if type(value) is not str:
-            return (req.method, req.video_id, req.frame_id, canonical_args(args))
-    return (req.method, req.video_id, req.frame_id, *sorted(args.items()))
+    return (req.method, req.video_id, req.frame_id,
+            *[tuple(value) if type(value) is list else value
+              for value in map(args.get, METHOD_ARGS[req.method].args)])
 
 
 class ReplyStore:
@@ -594,7 +591,8 @@ class RemoteBackend(ReplyStore):
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
         sock.settimeout(self.timeout_s)
         self._sock = sock
-        self._file = sock.makefile("rwb")
+        # read-only: a "rwb" pair's readline(limit) can return more than the limit
+        self._file = sock.makefile("rb")
 
     def _close_locked(self) -> None:
         if self._file is not None:
@@ -623,9 +621,8 @@ class RemoteBackend(ReplyStore):
         with self._lock:
             try:
                 self._connect()
-                self._file.write(payload.encode("utf-8"))
-                self._file.flush()
-                line = self._file.readline()
+                self._sock.sendall(payload.encode("utf-8"))
+                line = self._file.readline(MAX_LINE_BYTES)
             except OSError as exc:
                 self._close_locked()
                 return ToolResponse(req.id, ok=False, error=f"transport: {exc}")
@@ -634,6 +631,8 @@ class RemoteBackend(ReplyStore):
                 return ToolResponse(req.id, ok=False,
                                     error="transport: connection closed by server")
             try:
+                if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
+                    raise ValueError(f"reply line longer than {MAX_LINE_BYTES} bytes")
                 return _read_reply(line, req)
             except ValueError as exc:
                 self._close_locked()  # the next call reconnects

@@ -10,11 +10,23 @@ sys.path.insert(0, str(Path(__file__).parent))
 from morevqa.core import RunConfig  # noqa: E402
 from morevqa.corpus import build_oracle_corpus, write_corpus  # noqa: E402
 from morevqa.harness import ABLATION_MASKS, SYSTEMS, load_dataset, run_eval  # noqa: E402
-from morevqa.tools import MockBackend  # noqa: E402
+from morevqa.tools import MockBackend, ToolRequest  # noqa: E402
 
 # The run_experiments.py grid: every system, then every stage ablation mask.
 GRID = [(system, RunConfig()) for system in SYSTEMS] + [
     ("morevqa", RunConfig(stage_mask=mask)) for mask in ABLATION_MASKS
+]
+
+# Requests to a known video and frame that break the tool contract only by a
+# mistyped optional arg, a misplaced frame id or an unknown arg; every backend
+# must answer each one `invalid:`.
+CONTRACT_PROBES = [
+    ToolRequest(1, "vqa", "v000", 1, {"question": "q", "prefix": 5}),
+    ToolRequest(1, "vqa", "v000", 1, {"question": "q", "prefix": ["a"]}),
+    ToolRequest(1, "localize", "v000", None, {"object": "cat", "frames": [1], "stage": 7}),
+    ToolRequest(1, "localize", "v000", 1, {"object": "cat", "frames": [1]}),
+    ToolRequest(1, "caption", "v000", 1, {"pad": "x"}),
+    ToolRequest(1, "complete", "v000", 1, {"prompt": "#predict"}),
 ]
 
 

@@ -272,13 +272,17 @@ def test_criterion_09_determinism_and_replay(oracle_dir, oracle_bundle, tmp_path
     mutated = ToolRequest(
         first_request.id,
         first_request.method,
-        first_request.video_id,
+        "mutated",
         first_request.frame_id,
-        {**first_request.args, "mutated": "yes"},
+        first_request.args,
     )
     with pytest.raises(ReplayMissError) as err:
         replay_backend.dispatch(mutated)
     assert first_request.method in str(err.value)
+    # an arg outside the method's signature is refused as any backend refuses it
+    unknown_arg = ToolRequest(first_request.id, first_request.method, first_request.video_id,
+                              first_request.frame_id, {**first_request.args, "mutated": "yes"})
+    assert replay_backend.dispatch(unknown_arg).error.startswith("invalid:")
     _announce(9, "record/replay byte-identical; mutated request is a replay miss")
 
 

@@ -15,8 +15,16 @@ from hypothesis import given, settings, strategies as st
 from morevqa.baselines import JcefConfig
 from morevqa.cli import main
 from morevqa.core import QAItem, RunConfig
-from morevqa.tools import RecordingBackend, ReplayBackend
+from morevqa.pipeline import LlmBackedPlanner
+from morevqa.tools import (
+    RecordingBackend,
+    ReplayBackend,
+    ToolRequest,
+    ToolResponse,
+    validate_result_shape,
+)
 from morevqa.harness import (
+    SYSTEMS,
     DatasetError,
     EvalItem,
     EvalResult,
@@ -509,3 +517,53 @@ def test_summarize_per_subset(oracle_dir, oracle_bundle, mock_backend):
     results, summary = run_eval(items, "morevqa", mock_backend, oracle_bundle.fixtures)
     assert set(summary["per_subset"]) == {"region", "conjunction", "ocr", "counting", "open"}
     assert all(v == 1.0 for v in summary["per_subset"].values())
+
+
+# --- a hostile backend never ends an item as item_error ---
+
+_HOSTILE_TEXT = ["", "yes", "a grey cat", "#predict", "answer: 2", "(B)", "trim(start)",
+                 "verify_action(x)\nlocalize(", "\n\n", "None", "-1", "x" * 300]
+_HOSTILE_RESULTS = {
+    "caption": lambda rng: rng.choice(_HOSTILE_TEXT),
+    "vqa": lambda rng: rng.choice(_HOSTILE_TEXT),
+    "complete": lambda rng: rng.choice(_HOSTILE_TEXT),
+    "verify_action": lambda rng: rng.random() < 0.5,
+    "score": lambda rng: rng.choice([0, 1, 0.0, 1.0, rng.random()]),
+    "localize": lambda rng: [[rng.randint(-3, 40), [0.1, 0.2, 0.5, 0.9]]
+                             for _ in range(rng.randint(0, 4))],
+}
+
+
+class _HostileBackend:
+    """Passes about half the calls to the mock and answers the rest with a
+    random result of the method's shape or a `backend:` error."""
+
+    def __init__(self, inner, seed: int):
+        self.inner = inner
+        self.rng = random.Random(seed)
+        self.hostile = 0
+
+    def dispatch(self, req: ToolRequest) -> ToolResponse:
+        rng = self.rng
+        if rng.random() < 0.5:
+            return self.inner.dispatch(req)
+        self.hostile += 1
+        if rng.random() < 0.1:
+            return ToolResponse(req.id, ok=False, error="backend: hostile")
+        result = _HOSTILE_RESULTS[req.method](rng)
+        assert validate_result_shape(req.method, result)
+        return ToolResponse(req.id, ok=True, result=result)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("system, planner", [(system, None) for system in SYSTEMS]
+                         + [("morevqa", LlmBackedPlanner())], ids=[*SYSTEMS, "morevqa-llm"])
+def test_hostile_replies_end_every_item_typed(oracle_dir, oracle_bundle, mock_backend,
+                                             seed, system, planner):
+    items = load_dataset(oracle_dir / "dataset.jsonl")
+    backend = _HostileBackend(mock_backend, seed)
+    results, _ = run_eval(items, system, backend, oracle_bundle.fixtures,
+                          dataset_dir=oracle_dir, planner=planner)
+    assert backend.hostile >= 10
+    for failure in (r.failure for r in results if r.failure is not None):
+        assert isinstance(failure.get("kind"), str) and failure["kind"] != "item_error", failure

@@ -87,7 +87,7 @@ def test_bench_canonical_args(benchmark):
 
 def test_bench_request_key_complete(benchmark):
     req = ToolRequest(1, "complete", "v000", None, {"prompt": "#predict\n" + "x" * 1500})
-    key = ("complete", "v000", None, ("prompt", req.args["prompt"]))
+    key = ("complete", "v000", None, req.args["prompt"])
     assert benchmark(_request_key, req) == key
 
 

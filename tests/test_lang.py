@@ -135,8 +135,8 @@ _CALL_PIECES = st.sampled_from(["f", "if", "(", ")", ",", " ", *_CALL_ARGS])
 
 
 @given(_CALL_LINES | st.lists(_CALL_PIECES, max_size=10).map("".join))
-def test_whole_line_call_parses_like_the_token_path(line):
-    # a trailing comment sends any line down the token-by-token path
+def test_trailing_comment_never_changes_a_parse(line):
+    # appending a comment keeps a line's Program, or its ParseError, as it was
     try:
         program = parse(line, EXTENDED)
     except ParseError:

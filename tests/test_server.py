@@ -11,7 +11,17 @@ from hypothesis import given, settings, strategies as st
 from morevqa.harness import load_dataset, run_eval
 from morevqa.server import _reply_line, parse_listen_address, start_server
 from morevqa import tools
-from morevqa.tools import METHODS, RemoteBackend, ToolError, ToolRequest, ToolSession
+from morevqa.tools import (
+    MAX_LINE_BYTES,
+    METHODS,
+    RemoteBackend,
+    ReplayBackend,
+    ToolError,
+    ToolRequest,
+    ToolSession,
+)
+
+from conftest import CONTRACT_PROBES
 
 
 class CountingBackend:
@@ -226,6 +236,54 @@ def test_wrong_typed_fields_get_invalid_reply(server):
     sock.close()
 
 
+@pytest.mark.parametrize("req", CONTRACT_PROBES,
+                         ids=[f"{r.method}-{r.frame_id}-{r.args}" for r in CONTRACT_PROBES])
+def test_contract_probe_is_invalid_on_every_backend(server, mock_backend, tmp_path, req):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    remote = RemoteBackend(*_addr(server))
+    try:
+        for backend in (mock_backend, remote, ReplayBackend(empty)):
+            resp = backend.dispatch(req)
+            assert resp.id == req.id and resp.error.startswith("invalid:"), (backend, resp)
+    finally:
+        remote.close()
+
+
+def _padded(req: ToolRequest, size: int) -> bytes:
+    """The wire line of `req`, padded with spaces to `size` bytes, newline included."""
+    line = json.dumps(req.to_json_dict()).encode()
+    return line + b" " * (size - len(line) - 1) + b"\n"
+
+
+def test_request_line_over_the_cap_gets_one_invalid_reply(server):
+    sock = socket.create_connection(_addr(server), timeout=5)
+    fh = sock.makefile("rwb")
+    for size in (MAX_LINE_BYTES, MAX_LINE_BYTES + 3, 2 * MAX_LINE_BYTES + 3):
+        fh.write(_padded(ToolRequest(5, "caption", "v000", 1), size))
+        fh.write(json.dumps(ToolRequest(6, "caption", "v000", 2).to_json_dict()).encode() + b"\n")
+        fh.flush()
+        first, second = json.loads(fh.readline()), json.loads(fh.readline())
+        if size == MAX_LINE_BYTES:
+            assert first["id"] == 5 and first["ok"] is True
+        else:
+            assert first["id"] == 0 and first["error"].startswith("invalid: request line longer")
+        # the rest of the long line was skipped: the next line is answered on its own
+        assert second["id"] == 6 and second["ok"] is True
+    sock.close()
+
+
+def test_remote_drops_a_reply_line_over_the_cap():
+    reply = b'{"id": 1, "ok": true, "result": "%s", "error": null}\n' % (b"x" * MAX_LINE_BYTES)
+    fake = _ReplyServer(reply)
+    remote = RemoteBackend("127.0.0.1", fake.port, timeout_s=5)
+    resp = remote.dispatch(_CAPTION)
+    assert resp.id == 1 and resp.error.startswith("transport: reply line longer")
+    assert remote._sock is None  # the rest of the line is never read as a reply
+    remote.close()
+    fake.sock.close()
+
+
 def test_shared_client_under_thread_contention(server, mock_backend):
     remote = RemoteBackend(*_addr(server))
     requests = [ToolRequest(0, "caption", "v000", f % 8) for f in range(40)]
@@ -273,6 +331,7 @@ class _ReplyServer:
 
 _CAPTION = ToolRequest(1, "caption", "v000", 0)
 _LOCALIZE = ToolRequest(1, "localize", "v000", None, {"object": "cup", "frames": [1]})
+_SCORE = ToolRequest(1, "score", "v000", 0, {"text": "cup"})
 _BAD_REPLIES = [
     (b'{"id": 8, "ok": true, "result": "a caption", "error": null}\n', _CAPTION),  # another id
     (b'{"id": 1, "ok": true, "result": 3, "error": null}\n', _CAPTION),  # a caption is text
@@ -286,6 +345,8 @@ _BAD_REPLIES = [
     # box coordinates are numbers, not booleans
     (b'{"id": 1, "ok": true, "result": [[1, [false, false, true, true]]], "error": null}\n',
      _LOCALIZE),
+    # an int too large for a float is still no score in [0, 1]
+    (b'{"id": 1, "ok": true, "result": 1%s, "error": null}\n' % (b"0" * 309), _SCORE),
 ]
 
 
@@ -375,8 +436,11 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=12,
 )
+# every arg name some method takes, `stage` and `prefix` included, with values
+# of any JSON type, and `pad`, which no method takes
 _ARGS = st.dictionaries(
-    st.sampled_from(["question", "text", "action", "object", "frames", "prompt", "prefix"]),
+    st.sampled_from(["question", "text", "action", "object", "frames", "prompt", "prefix",
+                     "stage", "pad"]),
     _JSON | st.lists(st.integers(-2, 40), max_size=4),
     max_size=4,
 )
@@ -415,6 +479,10 @@ def test_any_json_line_gets_one_reply(wire_file, value):
     assert reply["id"] == (sent if type(sent) is int else 0)
     if not reply["ok"]:
         assert reply["error"].startswith(("invalid:", "backend:"))
+    args = value.get("args") if isinstance(value, dict) else None
+    if isinstance(args, dict) and ("pad" in args or not all(
+            isinstance(args.get(name, ""), str) for name in ("prefix", "stage"))):
+        assert reply["error"].startswith("invalid:")
     # exactly one line came back, and the connection still serves
     valid = ToolRequest(424242, "caption", "v000", 1)
     wire_file.write(json.dumps(valid.to_json_dict()).encode() + b"\n")

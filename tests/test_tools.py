@@ -10,7 +10,9 @@ from morevqa.core import FrameWindow, MemoryState
 from morevqa.prompts import build_planner_prompt, build_predict_prompt
 from morevqa.server import start_server
 from morevqa.tools import (
+    METHOD_ARGS,
     METHODS,
+    REQUIRED,
     FixtureError,
     FrameRecord,
     MockBackend,
@@ -29,12 +31,13 @@ from morevqa.tools import (
     mock_localize,
     mock_score,
     mock_verify_action,
-    _TEXT_ARG,
     _request_key,
     canonical_args,
     validate_request,
     validate_result_shape,
 )
+
+from conftest import CONTRACT_PROBES
 
 BOX = [0.1, 0.1, 0.5, 0.5]
 
@@ -191,13 +194,8 @@ _METHOD_STRATEGY = st.sampled_from(["caption", "vqa", "localize", "verify_action
 )
 def test_fuzzed_requests_validate_or_error(method, frame_id, text):
     backend = MockBackend({"v1": _fixture()})
-    args = {
-        "question": text,
-        "text": text,
-        "action": text,
-        "object": text,
-        "frames": list(range(10)),
-    }
+    args = {name: list(range(10)) if name == "frames" else text
+            for name, (_, required) in METHOD_ARGS[method].args.items() if required}
     resp = backend.dispatch(ToolRequest(1, method, "v1", frame_id, args))
     if resp.ok:
         assert validate_result_shape(method, resp.result)
@@ -360,9 +358,12 @@ _FIRST_PAIR = _recorded(ToolRequest(1, "caption", "v1", 5),
     ('{"id": 2, "method": "vqa", "video_id": "v1", "frame_id": 5, '
      '"args": [["question", "what?"]]}\n{"id": 2, "ok": true, "result": "a", "error": null}\n',
      "args must be dict"),
+    # an int too large for a float is still no score in [0, 1]
+    (_recorded(_SCORE, '{"id": 2, "ok": true, "result": 1%s, "error": null}' % ("0" * 309)),
+     "malformed score reply"),
 ], ids=["bad-json", "json-array", "not-utf8", "odd-line-count", "bad-reply-json",
         "deep-reply", "reply-shape", "reply-id", "non-bool-ok", "args-string-list",
-        "args-pair-list"])
+        "args-pair-list", "huge-int-score"])
 def test_bad_recording_raises_recording_error(tmp_path, pair, complaint):
     path = tmp_path / "rec.jsonl"
     path.write_bytes((_FIRST_PAIR + pair).encode("latin-1"))
@@ -470,8 +471,28 @@ def test_validate_request_rules():
         ToolRequest(1, "complete", {"v": 1}, None, {"prompt": "#predict"}),
         ToolRequest(1, "complete", None, None, {"prompt": ["#predict"]}),
     ]
-    for req in wrong_types:
+    for req in wrong_types + CONTRACT_PROBES:
         assert validate_request(req) is not None, req
+    optional_args = [
+        ToolRequest(1, "vqa", "v1", 0, {"question": "q", "prefix": "ocr"}),
+        ToolRequest(1, "localize", "v1", None, {"object": "x", "frames": [], "stage": "s"}),
+        ToolRequest(1, "complete", None, None, {"prompt": "#predict"}),
+    ]
+    for req in optional_args:
+        assert validate_request(req) is None, req
+
+
+def test_every_request_the_grid_sends_is_valid(tmp_path, mock_backend, run_grid):
+    complaints = []
+
+    class Checking:
+        def dispatch(self, req):
+            complaints.append(validate_request(req))
+            return mock_backend.dispatch(req)
+
+    run_grid(Checking(), tmp_path)
+    assert len(complaints) == 4424
+    assert [c for c in complaints if c is not None] == []
 
 
 def test_validate_result_shape_rejects_bools_as_numbers():
@@ -496,29 +517,34 @@ def test_canonical_args_is_sorted_compact_json(args):
     assert canonical_args(args) == json.dumps(args, sort_keys=True, separators=(",", ":"))
 
 
-# small domains, so two drawn requests are often equal or nearly so; the values
-# are alike under `==` or alike once encoded
-_ARG_VALUE = st.sampled_from(["1", "true", 1, 1.0, True, [1], ["1"]])
+# small domains, so two drawn requests are often equal or nearly so
+_TEXT = st.sampled_from(["a", "b", "1"])
+_EXTRA_ARGS = st.dictionaries(st.sampled_from(["prefix", "stage"]), _TEXT, max_size=2)
 
 
-_EXTRA_ARGS = st.dictionaries(st.sampled_from(["prefix", "stage"]), _ARG_VALUE, max_size=2)
+def _optional_args(method: str, extras: dict) -> dict:
+    return {name: value for name, value in extras.items() if name in METHOD_ARGS[method].args}
 
 
 @st.composite
 def _valid_requests(draw) -> ToolRequest:
     method = draw(st.sampled_from(METHODS))
-    args = draw(_EXTRA_ARGS)
-    if method != "caption":
-        args[_TEXT_ARG[method]] = draw(st.sampled_from(["a", "b", "1"]))
-    if method == "localize":
-        args["frames"] = draw(st.lists(st.integers(0, 1), max_size=2))
-    frame_id = None if method in ("localize", "complete") else draw(st.integers(0, 1))
-    return ToolRequest(1, method, draw(st.sampled_from(["v1", "v2"])), frame_id, args)
+    row = METHOD_ARGS[method]
+    args = _optional_args(method, draw(_EXTRA_ARGS))
+    for name, (_, required) in row.args.items():
+        if required:
+            args[name] = draw(st.lists(st.integers(0, 1), max_size=2) if name == "frames"
+                              else _TEXT)
+    frame_id = draw(st.integers(0, 1)) if row.frame_id is REQUIRED else None
+    video_id = draw(st.sampled_from(["v1", "v2"] if row.video_id is REQUIRED
+                                    else ["v1", "v2", None]))
+    return ToolRequest(1, method, video_id, frame_id, args)
 
 
 def _with_other_extras(req: ToolRequest, extras: dict) -> ToolRequest:
     args = {k: v for k, v in req.args.items() if k not in ("prefix", "stage")}
-    return ToolRequest(2, req.method, req.video_id, req.frame_id, {**extras, **args})
+    return ToolRequest(2, req.method, req.video_id, req.frame_id,
+                       {**_optional_args(req.method, extras), **args})
 
 
 @settings(max_examples=500)
@@ -536,14 +562,18 @@ def test_request_key_equal_exactly_when_canonical_content_equal(a, data):
 
 
 def test_request_key_of_a_non_string_arg_is_never_a_string_key():
-    def key(**extra):
-        return _request_key(ToolRequest(1, "vqa", "v1", 0, {"question": "q", **extra}))
-
-    keys = [key(prefix=v) for v in ("1", 1, 1.0, True, None, [1], ["1"])]
-    assert len(set(map(repr, keys))) == len(keys)
-    assert all(k1 != k2 for i, k1 in enumerate(keys) for k2 in keys[i + 1:])
-    assert key(prefix="x") != key(stage="x")
+    # a non-string text arg is refused, so it never gets a key at all
+    for prefix in (1, 1.0, True, None, [1], ["1"]):
+        assert validate_request(ToolRequest(1, "vqa", "v1", 0, {"question": "q", "prefix": prefix}))
+    # args key in table order, an absent optional one as None, frames as a tuple
     assert _request_key(ToolRequest(1, "caption", "v1", 0)) == ("caption", "v1", 0)
+    assert _request_key(ToolRequest(1, "vqa", "v1", 0, {"question": "q"})) == (
+        "vqa", "v1", 0, "q", None)
+    assert _request_key(ToolRequest(1, "vqa", "v1", 0, {"prefix": "ocr", "question": "q"})) == (
+        "vqa", "v1", 0, "q", "ocr")
+    localize = ToolRequest(1, "localize", "v1", None,
+                           {"stage": "s", "frames": [2, 1], "object": "cup"})
+    assert _request_key(localize) == ("localize", "v1", None, "cup", (2, 1), "s")
 
 
 def test_request_and_response_are_frozen():
