@@ -4,10 +4,10 @@ language-only, and the single-stage planner/executor."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
-from .core import QAItem, VideoMeta, uniform_sample
+from .core import EvalItem, JcefConfig, Outcome, QAItem, Settings, VideoMeta, uniform_sample
 from .lang import (
     EXTENDED,
     InterpreterError,
@@ -21,45 +21,20 @@ from .prompts import build_predict_prompt, build_single_stage_prompt
 from .tools import ToolError, ToolSession
 
 
-@dataclass(frozen=True)
-class JcefConfig:
-    """Caption-every-frame baseline settings."""
-
-    fps_caption: float = 1.0
-    frame_fraction: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.fps_caption <= 0:
-            raise ValueError("fps_caption must be positive")
-        if not 0.0 <= self.frame_fraction <= 1.0:
-            raise ValueError("frame_fraction must lie in [0, 1]")
-
-
-@dataclass
-class BaselineOutcome:
-    answer: str
-    mc_index: int | None
-    prompt: str | None = None
-    program: str | None = None
-    calls: list[tuple[str, tuple, Any]] = field(default_factory=list)
-    failure: dict[str, Any] | None = None
-
-    def trace_dict(self, system: str, video_id: str | None, question: str) -> dict[str, Any]:
-        trace: dict[str, Any] = {
-            "system": system,
-            "video_id": video_id,
-            "question": question,
-            "answer": self.answer,
-            "mc_index": self.mc_index,
-        }
-        if self.prompt is not None:
-            trace["prompt"] = self.prompt
-        if self.program is not None:
-            trace["program"] = self.program
-        if self.calls:
-            trace["calls"] = [[name, list(args), result] for name, args, result in self.calls]
-        trace["failure"] = self.failure
-        return trace
+def _outcome(system: str, item: EvalItem, answer: str = "", mc_index: int | None = None,
+             failure: dict[str, Any] | None = None, **extra: Any) -> Outcome:
+    """A baseline's outcome. Its trace holds the item, the answer, each of
+    `prompt`, `program` and `calls` that is not None, then the failure."""
+    trace: dict[str, Any] = {
+        "system": system,
+        "video_id": item.video_id,
+        "question": item.qa.question,
+        "answer": answer,
+        "mc_index": mc_index,
+    }
+    trace.update((key, value) for key, value in extra.items() if value is not None)
+    trace["failure"] = failure
+    return Outcome(answer, mc_index, None, trace, failure)
 
 
 def _round_half_up(x: float) -> int:
@@ -82,28 +57,32 @@ def jcef_caption_frames(video: VideoMeta, cfg: JcefConfig) -> list[int]:
 
 
 def _caption_and_predict(
-    qa: QAItem, session: ToolSession, frames: list[int], video_id: str | None
-) -> BaselineOutcome:
+    system: str, item: EvalItem, session: ToolSession, frames: list[int], video_id: str | None
+) -> Outcome:
     """Caption the frames, then predict from the question and those captions."""
+    qa = item.qa
     try:
         lines = [f"[frame {f}] caption: {session.caption(video_id, f)}" for f in frames]
         prompt = build_predict_prompt(qa.question, qa.candidates, lines)
         answer, mc_index = answer_from_reply(session.complete(prompt, video_id), qa.candidates)
     except ToolError as exc:
-        return BaselineOutcome("", None, failure={"kind": "tool_error", "message": str(exc)})
-    return BaselineOutcome(answer, mc_index, prompt=prompt)
+        return _outcome(system, item, failure={"kind": "tool_error", "message": str(exc)})
+    return _outcome(system, item, answer, mc_index, prompt=prompt)
 
 
 def run_jcef(
-    video: VideoMeta, qa: QAItem, cfg: JcefConfig, session: ToolSession
-) -> BaselineOutcome:
+    item: EvalItem, video: VideoMeta, session: ToolSession, settings: Settings
+) -> Outcome:
     """Caption frames, feed everything to the prediction backend."""
-    return _caption_and_predict(qa, session, jcef_caption_frames(video, cfg), video.video_id)
+    frames = jcef_caption_frames(video, settings.jcef_config)
+    return _caption_and_predict("jcef", item, session, frames, video.video_id)
 
 
-def run_llm_only(qa: QAItem, session: ToolSession) -> BaselineOutcome:
+def run_llm_only(
+    item: EvalItem, video: VideoMeta | None, session: ToolSession, settings: Settings
+) -> Outcome:
     """Predict from the question alone; no visual input at all."""
-    return _caption_and_predict(qa, session, [], None)
+    return _caption_and_predict("llm_only", item, session, [], None)
 
 
 def make_program_tools(session: ToolSession, video: VideoMeta, qa: QAItem) -> dict[str, Any]:
@@ -148,33 +127,32 @@ def make_program_tools(session: ToolSession, video: VideoMeta, qa: QAItem) -> di
 
 
 def run_single_stage(
-    video: VideoMeta,
-    qa: QAItem,
-    session: ToolSession,
-    program_text: str | None = None,
-) -> BaselineOutcome:
+    item: EvalItem, video: VideoMeta, session: ToolSession, settings: Settings
+) -> Outcome:
     """Parse and execute one whole program planned from the question alone.
 
-    Program text comes from an authored file or a replayed planner call; the
-    backend is asked only when neither is given. Parse and runtime failures
-    are reported structurally, never raised.
+    Program text comes from the item's program file, resolved against the
+    dataset directory; the backend is asked only when the item names none.
+    A program that cannot be read or obtained, parsed or run is reported
+    structurally, never raised.
     """
-    if program_text is None:
-        try:
+    qa = item.qa
+    try:
+        if item.program_path is None:
             program_text = session.complete(
                 build_single_stage_prompt(qa.question), video.video_id
             )
-        except ToolError as exc:
-            return BaselineOutcome(
-                "", None, failure={"kind": "missing_program", "message": str(exc)}
-            )
+        else:  # an absolute path ignores the directory
+            path = Path(settings.dataset_dir or ".", item.program_path)
+            program_text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError, ToolError) as exc:
+        return _outcome("single_stage", item,
+                        failure={"kind": "missing_program", "message": str(exc)})
     try:
         program = parse(program_text, EXTENDED)
     except ParseError as exc:
-        return BaselineOutcome(
-            "", None, program=program_text,
-            failure={"kind": "parse_error", "message": str(exc)},
-        )
+        return _outcome("single_stage", item, program=program_text,
+                        failure={"kind": "parse_error", "message": str(exc)})
     env = {
         "question": qa.question,
         "candidates": list(qa.candidates) if qa.candidates else [],
@@ -183,10 +161,10 @@ def run_single_stage(
     try:
         result: InterpretResult = interpret(program, env, dispatch)
     except InterpreterError as exc:
-        return BaselineOutcome(
-            "", None, program=program_text,
-            failure={"kind": f"runtime_{exc.kind}", "message": str(exc)},
-        )
+        return _outcome("single_stage", item, program=program_text,
+                        failure={"kind": f"runtime_{exc.kind}", "message": str(exc)})
     value = result.value if isinstance(result.value, str) else str(result.value)
     answer, mc_index = answer_from_reply(value, qa.candidates)
-    return BaselineOutcome(answer, mc_index, program=program_text, calls=result.calls)
+    calls = [[name, list(args), res] for name, args, res in result.calls]
+    return _outcome("single_stage", item, answer, mc_index, program=program_text,
+                    calls=calls or None)

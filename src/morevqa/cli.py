@@ -9,19 +9,17 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .baselines import JcefConfig
-from .core import QAItem, RunConfig
+from .core import EvalItem, JcefConfig, QAItem, RunConfig, Settings
 from .harness import (
     SYSTEMS,
     BackendUnreachable,
     DatasetError,
-    EvalItem,
     load_dataset,
     qtype_stats,
     run_ablation,
     run_eval,
 )
-from .pipeline import RuleBasedPlanner, run_morevqa
+from .pipeline import run_morevqa
 from .server import parse_listen_address, start_server
 from .tools import (
     FixtureError,
@@ -136,7 +134,7 @@ def _resolve_backend(spec: str, fixtures_dir: str | None):
 
 
 def _require_fixtures(corpus, system: str) -> None:
-    if system != "llm_only" and not corpus:
+    if SYSTEMS[system].needs_video and not corpus:
         raise CliError(
             "this backend does not carry video metadata; pass --fixtures DIR"
         )
@@ -187,9 +185,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise CliError(f"video {args.video!r} not found in the fixture corpus")
     video = corpus[args.video].video_meta()
     candidates = tuple(args.candidates) if args.candidates else None
-    qa = QAItem(question=args.question, candidates=candidates)
-    session = ToolSession(backend)
-    outcome = run_morevqa(video, qa, run_config, RuleBasedPlanner(), session)
+    item = EvalItem(args.video, QAItem(question=args.question, candidates=candidates))
+    outcome = run_morevqa(item, video, ToolSession(backend), Settings(run_config))
     if outcome.failure:
         print(f"failure: {outcome.failure}")
         return EXIT_ITEM_FAILURES
@@ -197,19 +194,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"answer: {outcome.mc_index}: {outcome.answer}")
     else:
         print(f"answer: {outcome.answer}")
-    if outcome.grounded_window is not None:
-        start_s, end_s = outcome.grounded_window_s
+    if outcome.pred_window_s is not None:
+        start_s, end_s = outcome.pred_window_s
         print(
-            f"grounded frames: {outcome.grounded_window.to_list()}"
+            f"grounded frames: {outcome.trace['grounded_window']}"
             f" ({start_s:.1f}s..{end_s:.1f}s)"
         )
-    for record in outcome.stage_records:
-        print(f"-- stage {record.stage_name} --")
-        if record.emitted_program and record.stage_name != "prediction":
+    for record in outcome.trace["stage_records"]:
+        print(f"-- stage {record['stage_name']} --")
+        if record["emitted_program"] and record["stage_name"] != "prediction":
             print("program:")
-            for line in record.emitted_program.split("\n"):
+            for line in record["emitted_program"].split("\n"):
                 print(f"  {line}")
-        print(f"tool calls: {len(record.tool_calls)}")
+        print(f"tool calls: {len(record['tool_calls'])}")
     return EXIT_OK
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from types import NoneType
 from typing import Any
 
@@ -150,11 +151,16 @@ class QAItem:
             if s > e:
                 raise ValueError("gt_window_s start must be <= end")
 
-    def is_multiple_choice(self) -> bool:
-        return self.candidates is not None
 
-    def is_scorable(self) -> bool:
-        return (self.answer_mc is None) != (self.answer_open is None)
+@dataclass
+class EvalItem:
+    """One dataset row: a question bound to a video."""
+
+    video_id: str
+    qa: QAItem
+    qtype_label: str | None = None
+    subset: str | None = None
+    program_path: str | None = None
 
 
 MAX_EVENTS = 2  # the grammar admits at most two events joined by one conjunction
@@ -269,6 +275,47 @@ class RunConfig:
             raise ValueError("trim_mode must be 'keep' or 'remove'")
         if not 0.0 < self.score_threshold < 1.0:
             raise ValueError("score_threshold must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class JcefConfig:
+    """Caption-every-frame baseline settings."""
+
+    fps_caption: float = 1.0
+    frame_fraction: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.fps_caption <= 0:
+            raise ValueError("fps_caption must be positive")
+        if not 0.0 <= self.frame_fraction <= 1.0:
+            raise ValueError("frame_fraction must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class Settings:
+    """What every system's runner is handed besides the item, its video and
+    the tool session: the two configs, the directory that a relative
+    `program_path` resolves against, and the morevqa planner (None for the
+    rule-based one). Each system reads only what it needs."""
+
+    run_config: RunConfig = RunConfig()
+    jcef_config: JcefConfig = JcefConfig()
+    dataset_dir: Path | None = None
+    planner: Any = None
+
+
+@dataclass
+class Outcome:
+    """What every system's runner returns for one item. `trace` is the
+    system's own trace dict; a failed item has an empty answer and its
+    failure record."""
+
+    answer: str
+    mc_index: int | None
+    pred_window_s: tuple[float, float] | None
+    trace: dict[str, Any]
+    failure: dict[str, Any] | None = None
+    timings_ms: dict[str, float] = field(default_factory=dict)
 
 
 def uniform_sample(frame_count: int, n: int) -> FrameWindow:

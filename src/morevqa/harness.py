@@ -14,14 +14,13 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import NoneType
-from typing import Any, Iterable, Mapping
+from types import ModuleType, NoneType
+from typing import Any, Iterable, Mapping, NamedTuple
 
-from .baselines import BaselineOutcome, JcefConfig, run_jcef, run_llm_only, run_single_stage
-from .core import QAItem, RunConfig, VideoMeta, expect_type
-from .pipeline import RuleBasedPlanner, RunOutcome, run_morevqa
+from . import baselines, pipeline
+from .core import EvalItem, JcefConfig, QAItem, RunConfig, Settings, VideoMeta, expect_type
 from .text import normalize_text
-from .tools import RemoteBackend, ToolRequest, ToolSession, WorldFixture
+from .tools import RecordingBackend, RemoteBackend, ToolRequest, ToolSession, WorldFixture
 
 
 class BackendUnreachable(Exception):
@@ -36,7 +35,24 @@ def _probe_remote(backend) -> None:
         raise BackendUnreachable(resp.error)
 
 
-SYSTEMS = ("morevqa", "jcef", "llm_only", "single_stage")
+class System(NamedTuple):
+    """One row of the system table: the module and name of the system's
+    runner, and whether the system needs a video."""
+
+    module: ModuleType
+    runner: str
+    needs_video: bool
+
+
+# Every runner takes (item, video or None, session, Settings) and returns an
+# Outcome. A row names its runner, which is looked up on its module when an
+# item runs, so that a wrapper bound in its place (a tracer, say) runs too.
+SYSTEMS = {
+    "morevqa": System(pipeline, "run_morevqa", True),
+    "jcef": System(baselines, "run_jcef", True),
+    "llm_only": System(baselines, "run_llm_only", False),
+    "single_stage": System(baselines, "run_single_stage", True),
+}
 
 ABLATION_MASKS = (
     (False, False, False),
@@ -48,17 +64,6 @@ ABLATION_MASKS = (
 
 class DatasetError(Exception):
     pass
-
-
-@dataclass
-class EvalItem:
-    """One dataset row: a question bound to a video."""
-
-    video_id: str
-    qa: QAItem
-    qtype_label: str | None = None
-    subset: str | None = None
-    program_path: str | None = None
 
 
 @dataclass
@@ -270,13 +275,10 @@ def _score_item(item: EvalItem, answer: str, mc_index: int | None) -> float:
     return 0.0
 
 
-def _resolve_program_text(item: EvalItem, dataset_dir: Path | None) -> str | None:
-    if item.program_path is None:
-        return None
-    path = Path(item.program_path)
-    if not path.is_absolute() and dataset_dir is not None:
-        path = dataset_dir / path
-    return path.read_text(encoding="utf-8")
+def _system(system: str) -> System:
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; expected one of {tuple(SYSTEMS)}")
+    return SYSTEMS[system]
 
 
 def run_item(
@@ -290,50 +292,24 @@ def run_item(
     planner=None,
 ) -> EvalResult:
     """Evaluate one item with a fresh tool session."""
-    if video is None and system != "llm_only":
+    row = _system(system)
+    if video is None and row.needs_video:
         raise ValueError(f"system {system!r} needs video metadata")
-    session = ToolSession(backend)
+    settings = Settings(run_config, jcef_config, dataset_dir, planner)
     started = time.perf_counter()
-    timings: dict[str, float] = {}
-    if system == "morevqa":
-        outcome: RunOutcome = run_morevqa(
-            video, item.qa, run_config, planner or RuleBasedPlanner(), session
-        )
-        answer, mc_index = outcome.answer, outcome.mc_index
-        failure = outcome.failure
-        pred_window = outcome.grounded_window_s
-        trace = outcome.trace_dict(item.video_id, item.qa.question)
-        if outcome.stage_timings_ms:
-            timings.update(outcome.stage_timings_ms)
-    else:
-        if system == "jcef":
-            base = run_jcef(video, item.qa, jcef_config, session)
-        elif system == "llm_only":
-            base = run_llm_only(item.qa, session)
-        elif system == "single_stage":
-            try:
-                program_text = _resolve_program_text(item, dataset_dir)
-            except (OSError, UnicodeDecodeError) as exc:
-                base = BaselineOutcome(
-                    "", None, failure={"kind": "missing_program", "message": str(exc)}
-                )
-            else:
-                base = run_single_stage(video, item.qa, session, program_text)
-        else:
-            raise ValueError(f"unknown system {system!r}")
-        answer, mc_index, failure, pred_window = base.answer, base.mc_index, base.failure, None
-        trace = base.trace_dict(system, item.video_id, item.qa.question)
+    outcome = getattr(row.module, row.runner)(item, video, ToolSession(backend), settings)
+    timings = outcome.timings_ms
     timings["total"] = (time.perf_counter() - started) * 1000.0
-    correct = 0.0 if failure else _score_item(item, answer, mc_index)
+    failure = outcome.failure
     return EvalResult(
         item=item,
-        predicted_answer=answer,
-        mc_index=mc_index,
-        correct=correct,
-        pred_window_s=pred_window,
+        predicted_answer=outcome.answer,
+        mc_index=outcome.mc_index,
+        correct=0.0 if failure else _score_item(item, outcome.answer, outcome.mc_index),
+        pred_window_s=outcome.pred_window_s,
         timings_ms=timings,
         failure=failure,
-        trace=trace,
+        trace=outcome.trace,
     )
 
 
@@ -388,19 +364,21 @@ def run_eval(
     planner=None,
 ) -> tuple[list[EvalResult], dict[str, Any]]:
     """Evaluate every item; write results, summary, traces, timings."""
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    needs_video = _system(system).needs_video
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     run_config = run_config or RunConfig()
     jcef_config = jcef_config or JcefConfig()
     dataset_dir = Path(dataset_dir) if dataset_dir is not None else None
-    if isinstance(backend, RemoteBackend):
-        _probe_remote(backend)
+    # `eval --record` wraps the client: probe the client itself, so that
+    # the probe is never recorded
+    client = backend.inner if isinstance(backend, RecordingBackend) else backend
+    if isinstance(client, RemoteBackend):
+        _probe_remote(client)
 
     def one(item: EvalItem) -> EvalResult:
         try:
-            video = None if system == "llm_only" else _video_meta_for(item, fixtures)
+            video = _video_meta_for(item, fixtures) if needs_video else None
             return run_item(
                 system, item, video, backend, run_config, jcef_config, dataset_dir, planner
             )

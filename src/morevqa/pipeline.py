@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Any
 
 from .core import (
+    EvalItem,
     FrameWindow,
     MemoryState,
+    Outcome,
     QAItem,
     QAType,
     RunConfig,
+    Settings,
     StageRecord,
     TemporalConjunction,
     TemporalRegion,
@@ -58,31 +60,6 @@ class StageError(Exception):
         self.stage = stage
         self.kind = kind
         self.message = message
-
-
-@dataclass
-class RunOutcome:
-    answer: str
-    mc_index: int | None
-    grounded_window: FrameWindow | None
-    grounded_window_s: tuple[float, float] | None
-    stage_records: list[StageRecord]
-    prediction_prompt: str | None = None
-    failure: dict[str, Any] | None = None
-    stage_timings_ms: dict[str, float] | None = None
-
-    def trace_dict(self, video_id: str, question: str) -> dict[str, Any]:
-        return {
-            "system": "morevqa",
-            "video_id": video_id,
-            "question": question,
-            "answer": self.answer,
-            "mc_index": self.mc_index,
-            "grounded_window": self.grounded_window.to_list() if self.grounded_window else None,
-            "grounded_window_s": list(self.grounded_window_s) if self.grounded_window_s else None,
-            "stage_records": [r.to_json_dict() for r in self.stage_records],
-            "failure": self.failure,
-        }
 
 
 # --- planners ---
@@ -446,12 +423,8 @@ def final_predict(
 # --- full pipeline ---
 
 def run_morevqa(
-    video: VideoMeta,
-    qa: QAItem,
-    config: RunConfig,
-    planner,
-    session: ToolSession,
-) -> RunOutcome:
+    item: EvalItem, video: VideoMeta, session: ToolSession, settings: Settings
+) -> Outcome:
     """Run the three stages over one memory, assemble context, and predict.
 
     Every stage leaves a record; a disabled stage runs the empty program.
@@ -459,8 +432,11 @@ def run_morevqa(
     instead of raising, so evaluation can score the item as incorrect and
     move on.
     """
+    qa, config = item.qa, settings.run_config
+    planner = settings.planner or RuleBasedPlanner()
     records: list[StageRecord] = []
     timings: dict[str, float] = {}
+    failure = None
     memory = MemoryState(frame_ids=FrameWindow.full(video.frame_count), question=qa.question)
     # the runners are looked up here, at call time, so that a wrapper bound
     # in their place (a tracer, say) runs too
@@ -539,26 +515,20 @@ def run_morevqa(
         failure = {"stage": stage, "kind": "tool_error", "message": str(exc)}
     except StageError as exc:
         failure = {"stage": exc.stage, "kind": exc.kind, "message": exc.message}
+    if failure is None:
+        grounded = memory.grounded_window or None
+        window_s = window_to_seconds(grounded, video.fps) if grounded else None
     else:
-        grounded_s = (
-            window_to_seconds(memory.grounded_window, video.fps)
-            if memory.grounded_window and len(memory.grounded_window)
-            else None
-        )
-        return RunOutcome(
-            answer=answer,
-            mc_index=mc_index,
-            grounded_window=memory.grounded_window,
-            grounded_window_s=grounded_s,
-            stage_records=records,
-            prediction_prompt=prompt,
-            stage_timings_ms=timings,
-        )
-    return RunOutcome(
-        answer="",
-        mc_index=None,
-        grounded_window=None,
-        grounded_window_s=None,
-        stage_records=records,
-        failure=failure,
-    )
+        answer, mc_index, grounded, window_s, timings = "", None, None, None, {}
+    trace = {
+        "system": "morevqa",
+        "video_id": item.video_id,
+        "question": qa.question,
+        "answer": answer,
+        "mc_index": mc_index,
+        "grounded_window": grounded.to_list() if grounded else None,
+        "grounded_window_s": list(window_s) if window_s else None,
+        "stage_records": [record.to_json_dict() for record in records],
+        "failure": failure,
+    }
+    return Outcome(answer, mc_index, window_s, trace, failure, timings)

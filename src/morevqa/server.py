@@ -1,9 +1,10 @@
 """Newline-delimited JSON server exposing a backend over TCP.
 
-One request object per line, one response object per line. Malformed lines,
-and lines longer than `MAX_LINE_BYTES`, produce an `invalid:`-prefixed error
-response, and an exception raised by the backend a `backend:`-prefixed one;
-either way the connection stays open.
+One request object per line, one response object per line, both UTF-8.
+Malformed lines, lines that are not UTF-8, and lines longer than
+`MAX_LINE_BYTES` produce an `invalid:`-prefixed error response, and an
+exception raised by the backend a `backend:`-prefixed one; either way the
+connection stays open.
 """
 
 from __future__ import annotations
@@ -53,10 +54,14 @@ class _Handler(socketserver.StreamRequestHandler):
                     line = self.rfile.readline(MAX_LINE_BYTES)
                 reply = _invalid_line(0, f"request line longer than {MAX_LINE_BYTES} bytes")
             else:
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                reply = _reply_line(self.server.backend, text)
+                try:
+                    text = line.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    reply = _invalid_line(0, f"request line is not UTF-8 ({exc})")
+                else:
+                    if not text:
+                        continue
+                    reply = _reply_line(self.server.backend, text)
             self.wfile.write(reply)
             self.wfile.flush()
 

@@ -558,8 +558,8 @@ class ReplyStore:
 def _read_reply(line: bytes, req: ToolRequest) -> ToolResponse:
     """The reply on `line` to `req`. Raises ValueError when the line cannot be
     read, answers another id or carries a result of the wrong shape."""
-    try:
-        resp = ToolResponse.from_json_dict(json.loads(line))
+    try:  # json.loads would also take UTF-16 and UTF-32 bytes
+        resp = ToolResponse.from_json_dict(json.loads(line.decode("utf-8")))
     except _JSON_ERRORS as exc:
         raise ValueError(f"bad response line ({exc})") from exc
     if resp.id != req.id:
@@ -691,7 +691,7 @@ class ReplayBackend(ReplyStore):
         for pair, at in enumerate(range(0, len(lines), 2), start=1):
             try:
                 try:
-                    req = ToolRequest.from_json_dict(json.loads(lines[at]))
+                    req = ToolRequest.from_json_dict(json.loads(lines[at].decode("utf-8")))
                 except _JSON_ERRORS as exc:
                     raise ValueError(f"bad request line ({exc})") from exc
                 if at + 1 == len(lines):

@@ -21,7 +21,15 @@ from astgen import (
 from refinterp import reference_interpret
 
 from morevqa.baselines import JcefConfig, run_jcef
-from morevqa.core import FrameWindow, QAItem, RunConfig, TemporalRegion, TemporalConjunction
+from morevqa.core import (
+    EvalItem,
+    FrameWindow,
+    QAItem,
+    RunConfig,
+    Settings,
+    TemporalRegion,
+    TemporalConjunction,
+)
 from morevqa.harness import (
     grounded_qa_metrics,
     interval_iop,
@@ -191,13 +199,15 @@ def test_criterion_06_jcef_equivalence(oracle_bundle, mock_backend):
             stage_mask=(False, False, False), n_context_frames=video.frame_count
         )
         pipeline = run_morevqa(
-            video, qa, config, RuleBasedPlanner(), ToolSession(mock_backend)
+            EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+            Settings(config, planner=RuleBasedPlanner()),
         )
         baseline = run_jcef(
-            video, qa, JcefConfig(fps_caption=1.0, frame_fraction=1.0),
-            ToolSession(mock_backend),
+            EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+            Settings(jcef_config=JcefConfig(fps_caption=1.0, frame_fraction=1.0)),
         )
-        assert pipeline.prediction_prompt == baseline.prompt, row["video_id"]
+        prediction_prompt = pipeline.trace["stage_records"][-1]["planner_prompt"]
+        assert prediction_prompt == baseline.trace["prompt"], row["video_id"]
         checked += 1
     assert checked == 20
     _announce(6, "all-stages-off prediction prompt is byte-identical to the caption baseline")

@@ -10,7 +10,7 @@ from morevqa.baselines import (
     run_llm_only,
     run_single_stage,
 )
-from morevqa.core import QAItem
+from morevqa.core import EvalItem, QAItem, Settings
 from morevqa.server import start_server
 from morevqa.tools import (
     FrameRecord,
@@ -37,36 +37,44 @@ def simple_backend():
     return MockBackend({"vb": _simple_fixture()})
 
 
+def _with_program(tmp_path, video, qa, program):
+    """An item whose program file holds `program`."""
+    path = tmp_path / "prog.mvp"
+    path.write_text(program, encoding="utf-8")
+    return EvalItem(video.video_id, qa, program_path=str(path))
+
+
 def test_jcef_caption_line_format(simple_backend):
     video = _simple_fixture().video_meta()
     qa = QAItem(question="what is happening?", candidates=("throwing a baseball", "sleeping"))
-    out = run_jcef(video, qa, JcefConfig(), ToolSession(simple_backend))
-    assert "[frame 5] caption: a person is throwing a baseball in a field" in out.prompt
+    out = run_jcef(EvalItem(video.video_id, qa), video, ToolSession(simple_backend), Settings())
+    assert "[frame 5] caption: a person is throwing a baseball in a field" in out.trace["prompt"]
     assert out.mc_index == 0
 
 
 def test_jcef_thirteen_frames_thirteen_lines(simple_backend):
     video = _simple_fixture().video_meta()
     qa = QAItem(question="q?", candidates=("a", "b"))
-    out = run_jcef(video, qa, JcefConfig(fps_caption=1.0, frame_fraction=1.0),
-                   ToolSession(simple_backend))
-    caption_lines = [l for l in out.prompt.split("\n") if l.startswith("[frame ")]
+    out = run_jcef(EvalItem(video.video_id, qa), video, ToolSession(simple_backend),
+                   Settings(jcef_config=JcefConfig(fps_caption=1.0, frame_fraction=1.0)))
+    caption_lines = [l for l in out.trace["prompt"].split("\n") if l.startswith("[frame ")]
     assert len(caption_lines) == 13
 
 
 def test_jcef_fraction_zero_equals_llm_only(simple_backend):
     video = _simple_fixture().video_meta()
     qa = QAItem(question="q?", candidates=("a", "b"))
-    jcef = run_jcef(video, qa, JcefConfig(frame_fraction=0.0), ToolSession(simple_backend))
-    llm = run_llm_only(qa, ToolSession(simple_backend))
-    assert jcef.prompt == llm.prompt
-    assert "[frame " not in jcef.prompt
+    jcef = run_jcef(EvalItem(video.video_id, qa), video, ToolSession(simple_backend),
+                    Settings(jcef_config=JcefConfig(frame_fraction=0.0)))
+    llm = run_llm_only(EvalItem(video.video_id, qa), None, ToolSession(simple_backend), Settings())
+    assert jcef.trace["prompt"] == llm.trace["prompt"]
+    assert "[frame " not in jcef.trace["prompt"]
     assert jcef.answer == llm.answer
 
 
 def test_llm_only_returns_valid_index(simple_backend):
     qa = QAItem(question="q?", candidates=("a", "b", "c"))
-    out = run_llm_only(qa, ToolSession(simple_backend))
+    out = run_llm_only(EvalItem("vb", qa), None, ToolSession(simple_backend), Settings())
     assert out.mc_index in range(3)
 
 
@@ -93,9 +101,9 @@ def test_jcef_caption_frames_at_non_unit_fps():
 def test_jcef_prompt_stable_across_runs(simple_backend):
     video = _simple_fixture().video_meta()
     qa = QAItem(question="q?", candidates=("a", "b"))
-    first = run_jcef(video, qa, JcefConfig(), ToolSession(simple_backend))
-    second = run_jcef(video, qa, JcefConfig(), ToolSession(simple_backend))
-    assert first.prompt == second.prompt
+    first = run_jcef(EvalItem(video.video_id, qa), video, ToolSession(simple_backend), Settings())
+    second = run_jcef(EvalItem(video.video_id, qa), video, ToolSession(simple_backend), Settings())
+    assert first.trace["prompt"] == second.trace["prompt"]
 
 
 def test_jcef_prompt_golden():
@@ -103,8 +111,8 @@ def test_jcef_prompt_golden():
     backend = MockBackend({"vg": WorldFixture("vg", 1.0, frames)})
     video = WorldFixture("vg", 1.0, frames).video_meta()
     qa = QAItem(question="which kite?", candidates=("red", "blue"))
-    out = run_jcef(video, qa, JcefConfig(), ToolSession(backend))
-    assert out.prompt == "\n".join(
+    out = run_jcef(EvalItem(video.video_id, qa), video, ToolSession(backend), Settings())
+    assert out.trace["prompt"] == "\n".join(
         [
             "#predict",
             "question: which kite?",
@@ -118,20 +126,22 @@ def test_jcef_prompt_golden():
     )
 
 
-def test_single_stage_degenerate_program_equals_llm_only(simple_backend):
+def test_single_stage_degenerate_program_equals_llm_only(simple_backend, tmp_path):
     video = _simple_fixture().video_meta()
     qa = QAItem(question="what now?", candidates=("a", "b"))
     program = "return llm_query(question)"
-    single = run_single_stage(video, qa, ToolSession(simple_backend), program)
-    llm = run_llm_only(qa, ToolSession(simple_backend))
+    single = run_single_stage(_with_program(tmp_path, video, qa, program), video,
+                              ToolSession(simple_backend), Settings())
+    llm = run_llm_only(EvalItem(video.video_id, qa), None, ToolSession(simple_backend), Settings())
     assert single.answer == llm.answer
     assert single.failure is None
 
 
-def test_single_stage_unbound_variable_failure(simple_backend):
+def test_single_stage_unbound_variable_failure(simple_backend, tmp_path):
     video = _simple_fixture().video_meta()
     qa = QAItem(question="q?", candidates=("a", "b"))
-    out = run_single_stage(video, qa, ToolSession(simple_backend), "return llm_query(quesiton)")
+    item = _with_program(tmp_path, video, qa, "return llm_query(quesiton)")
+    out = run_single_stage(item, video, ToolSession(simple_backend), Settings())
     assert out.failure is not None
     assert out.failure["kind"] == "runtime_unbound"
     assert "quesiton" in out.failure["message"]
@@ -158,7 +168,8 @@ def test_single_stage_wrong_typed_tool_argument_fails_dispatch(
     else:
         backend = simple_backend
     try:
-        out = run_single_stage(video, qa, ToolSession(backend), program)
+        out = run_single_stage(_with_program(tmp_path, video, qa, program), video,
+                               ToolSession(backend), Settings())
     finally:
         if server is not None:
             backend.close()
@@ -167,24 +178,26 @@ def test_single_stage_wrong_typed_tool_argument_fails_dispatch(
     assert out.failure is not None
     assert out.failure["kind"] == "runtime_dispatch"
     assert "invalid:" in out.failure["message"]
-    assert out.calls == []
+    assert "calls" not in out.trace
 
 
-def test_single_stage_parse_failure(simple_backend):
+def test_single_stage_parse_failure(simple_backend, tmp_path):
     video = _simple_fixture().video_meta()
     qa = QAItem(question="q?", candidates=("a", "b"))
-    out = run_single_stage(video, qa, ToolSession(simple_backend), "if broken(:\n  x")
+    item = _with_program(tmp_path, video, qa, "if broken(:\n  x")
+    out = run_single_stage(item, video, ToolSession(simple_backend), Settings())
     assert out.failure is not None and out.failure["kind"] == "parse_error"
 
 
 def test_single_stage_without_program_reports_missing(simple_backend):
     video = _simple_fixture().video_meta()
     qa = QAItem(question="q?", candidates=("a", "b"))
-    out = run_single_stage(video, qa, ToolSession(simple_backend))
+    out = run_single_stage(EvalItem(video.video_id, qa), video, ToolSession(simple_backend),
+                           Settings())
     assert out.failure is not None and out.failure["kind"] == "missing_program"
 
 
-def test_single_stage_bad_condition_grounds_wrong_frames(oracle_bundle, mock_backend):
+def test_single_stage_bad_condition_grounds_wrong_frames(oracle_bundle, oracle_dir, mock_backend):
     # item 1 has a trap replica of its event at frame 0, outside the
     # questioned end region; a first-match program falls for it
     row = oracle_bundle.rows[1]
@@ -194,9 +207,9 @@ def test_single_stage_bad_condition_grounds_wrong_frames(oracle_bundle, mock_bac
         answer_mc=row["answer_mc"],
     )
     video = oracle_bundle.fixtures[row["video_id"]].video_meta()
-    program = oracle_bundle.programs["programs/item0001.mvp"]
-    out = run_single_stage(video, qa, ToolSession(mock_backend), program)
+    item = EvalItem(row["video_id"], qa, program_path="programs/item0001.mvp")
+    out = run_single_stage(item, video, ToolSession(mock_backend), Settings(dataset_dir=oracle_dir))
     assert out.failure is None
-    vqa_calls = [c for c in out.calls if c[0] == "vqa"]
+    vqa_calls = [c for c in out.trace["calls"] if c[0] == "vqa"]
     assert vqa_calls and vqa_calls[0][1][0] == 0  # wrong early frame in the trace
     assert out.mc_index != row["answer_mc"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -229,6 +230,30 @@ def test_record_file_closed_when_eval_raises(oracle_dir, tmp_path, monkeypatch):
             "--record", str(recording),
         ])
     assert closed == [recording]
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
+def test_eval_against_a_closed_port_exits_two(oracle_dir, tmp_path, capsys, record):
+    """The liveness probe reaches the client under `--record` too, and it is
+    never recorded: an unreachable server is fatal, not 30 failed items whose
+    transport errors a replay would serve as answers."""
+    recording = tmp_path / "rec.jsonl"
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))  # bound but not listening: connections are refused
+        argv = [
+            "eval",
+            "--dataset", str(oracle_dir / "dataset.jsonl"),
+            "--system", "morevqa",
+            "--backend", f"remote:127.0.0.1:{closed.getsockname()[1]}",
+            "--fixtures", str(oracle_dir / "fixtures"),
+        ]
+        rc = main(argv + (["--record", str(recording)] if record else []))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: transport:")
+    if record:
+        assert recording.read_bytes() == b""
 
 
 def test_config_file_and_flag_override(oracle_dir, tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_video_meta_duration_consistency():
 
 def test_qa_item_validation():
     qa = QAItem("q?", candidates=("a", "b"), answer_mc=1)
-    assert qa.is_multiple_choice() and qa.is_scorable()
+    assert qa.candidates == ("a", "b") and qa.answer_mc == 1 and qa.answer_open is None
     with pytest.raises(ValueError):
         QAItem("q?", candidates=("a",), answer_mc=3)
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ import itertools
 
 import pytest
 
-from morevqa.core import FrameWindow, MemoryState, QAItem, RunConfig
+from morevqa.core import EvalItem, FrameWindow, MemoryState, QAItem, RunConfig, Settings
 from morevqa.lang import EXTENDED, FLAT, parse, render
 from morevqa.pipeline import RuleBasedPlanner, _stage_calls, build_context, run_morevqa
 from morevqa.planner import rule_plan
@@ -172,7 +172,10 @@ def test_bench_run_morevqa_item(benchmark, oracle_bundle, mock_backend):
     qa = QAItem(row["question"], tuple(row["candidates"]), row["answer_mc"])
 
     def item():
-        return run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
+        return run_morevqa(
+            EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+            Settings(RunConfig(), planner=RuleBasedPlanner()),
+        )
 
     outcome = benchmark(item)
     assert outcome.failure is None and outcome.mc_index == qa.answer_mc
@@ -183,14 +186,19 @@ def test_bench_run_morevqa_item_on_replay(benchmark, tmp_path, oracle_bundle, mo
     video = oracle_bundle.fixtures[row["video_id"]].video_meta()
     qa = QAItem(row["question"], tuple(row["candidates"]), row["answer_mc"])
     recorder = RecordingBackend(mock_backend, tmp_path / "rec.jsonl")
-    live = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(recorder))
+    live = run_morevqa(
+        EvalItem(video.video_id, qa), video, ToolSession(recorder),
+        Settings(RunConfig(), planner=RuleBasedPlanner()),
+    )
     recorder.close()
     replay = ReplayBackend(tmp_path / "rec.jsonl")
 
     def item():
-        return run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(replay))
+        return run_morevqa(
+            EvalItem(video.video_id, qa), video, ToolSession(replay),
+            Settings(RunConfig(), planner=RuleBasedPlanner()),
+        )
 
     outcome = benchmark(item)
     assert outcome.failure is None and outcome.mc_index == qa.answer_mc
-    assert (outcome.trace_dict(video.video_id, qa.question)
-            == live.trace_dict(video.video_id, qa.question))
+    assert outcome.trace == live.trace

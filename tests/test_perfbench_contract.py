@@ -55,3 +55,31 @@ def test_tracer_finds_every_target_and_puts_each_back():
     assert [vars(tools.ToolSession)["dispatch"], tools.RecordingBackend.dispatch,
             vars(tools.ReplayBackend)["__init__"]] == methods
     assert "dispatch" not in vars(tools.RecordingBackend)
+
+
+def test_tracer_spans_every_system(oracle_bundle, oracle_dir, mock_backend):
+    """Each system's runner is looked up when its item runs, so the tracer's
+    wrappers are the ones called: a system table that held the runners bound
+    at import time would lose the `baselines.*` spans."""
+    tracer = _load("tracer")
+    harness = importlib.import_module("morevqa.harness")
+    item = harness.load_dataset(oracle_dir / "dataset.jsonl")[0]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for system in harness.SYSTEMS:
+            harness.run_eval([item], system, mock_backend, oracle_bundle.fixtures,
+                             dataset_dir=oracle_dir)
+        t.collect()
+    finally:
+        t.uninstall()
+    spans = {(span[2], span[6]) for span in t.last_spans}
+    assert {tag for name, tag in spans if name == "harness.item"} == {
+        f"{system}:{item.video_id}" for system in harness.SYSTEMS}
+    expected = {
+        ("baselines.jcef", f"jcef:{item.video_id}"),
+        ("baselines.llm_only", f"llm_only:{item.video_id}"),
+        ("baselines.single_stage", f"single_stage:{item.video_id}"),
+    } | {(f"pipeline.{stage}", f"morevqa:{item.video_id}")
+         for stage in ("event_parsing", "grounding", "reasoning", "context", "predict")}
+    assert expected <= spans

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from astgen import _NAMES, _WORDS, random_expr
 from morevqa.core import (
+    EvalItem,
     FrameWindow,
     MemoryState,
     QAItem,
     QAType,
     RunConfig,
+    Settings,
     TemporalConjunction,
     TemporalRegion,
     uniform_sample,
@@ -176,15 +178,31 @@ def test_derived_windows_equal_checked_windows(ids, frame_count, n, data):
         _assert_checked(window)
 
 
-def test_grounded_windows_equal_checked_windows(oracle_bundle, mock_backend):
+def test_grounded_windows_equal_checked_windows(oracle_bundle, mock_backend, monkeypatch):
+    import morevqa.pipeline
+
+    # the outcome holds the grounded window as a list; the window object
+    # itself is the one prediction's context is built from
+    grounded = []
+
+    def context(memory, *args):
+        grounded.append(memory.grounded_window)
+        return build_context(memory, *args)
+
+    monkeypatch.setattr(morevqa.pipeline, "build_context", context)
     configs = (RunConfig(), RunConfig(trim_mode="remove"),
                RunConfig(grounded_to_prediction_only=True))
     for index, config in itertools.product(range(len(oracle_bundle.rows)), configs):
         qa, video = _qa(oracle_bundle, index), _video(oracle_bundle, index)
         session = ToolSession(mock_backend)
-        out = run_morevqa(video, qa, config, RuleBasedPlanner(), session)
+        out = run_morevqa(
+            EvalItem(video.video_id, qa), video, session,
+            Settings(config, planner=RuleBasedPlanner()),
+        )
         assert out.failure is None
-        _assert_checked(out.grounded_window)
+        window = grounded.pop()
+        _assert_checked(window)
+        assert window.to_list() == out.trace["grounded_window"]
 
 
 # --- stage 1 ---
@@ -200,9 +218,12 @@ def test_event_parsing_why_end(oracle_bundle, mock_backend):
     assert memory.qa_type is QAType.WHY
     assert memory.event_queue == ["cat lying on its back"]
     assert memory.frame_ids.to_list() == list(range(19, 32))
-    record = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), session).stage_records[0]
-    assert record.emitted_program == emitted
-    assert record.memory_before["frame_ids"] == list(range(32))
+    record = run_morevqa(
+        EvalItem(video.video_id, qa), video, session,
+        Settings(RunConfig(), planner=RuleBasedPlanner()),
+    ).trace["stage_records"][0]
+    assert record["emitted_program"] == emitted
+    assert record["memory_before"]["frame_ids"] == list(range(32))
 
 
 def test_event_parsing_simple_question_keeps_window(oracle_bundle, mock_backend):
@@ -415,11 +436,11 @@ def test_run_morevqa_mask_m2_off_middle_frame(oracle_bundle, mock_backend):
     qa = _qa(oracle_bundle, 1)
     video = _video(oracle_bundle, 1)
     out = run_morevqa(
-        video, qa, RunConfig(stage_mask=(True, False, True)), RuleBasedPlanner(),
-        ToolSession(mock_backend),
+        EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+        Settings(RunConfig(stage_mask=(True, False, True)), planner=RuleBasedPlanner()),
     )
     # middle frame of the trimmed end window [19..31]
-    assert out.grounded_window.to_list() == [25]
+    assert out.trace["grounded_window"] == [25]
 
 
 def test_run_morevqa_all_off_has_no_vqa_calls(oracle_bundle, mock_backend):
@@ -427,11 +448,12 @@ def test_run_morevqa_all_off_has_no_vqa_calls(oracle_bundle, mock_backend):
     video = _video(oracle_bundle, 1)
     session = ToolSession(mock_backend)
     out = run_morevqa(
-        video, qa, RunConfig(stage_mask=(False, False, False)), RuleBasedPlanner(), session
+        EvalItem(video.video_id, qa), video, session,
+        Settings(RunConfig(stage_mask=(False, False, False)), planner=RuleBasedPlanner()),
     )
     assert not [c for c in session.trace if c["method"] == "vqa"]
-    assert len(out.stage_records) == 4
-    assert [r.stage_name for r in out.stage_records] == [
+    assert len(out.trace["stage_records"]) == 4
+    assert [r["stage_name"] for r in out.trace["stage_records"]] == [
         "event_parsing", "grounding", "reasoning", "prediction",
     ]
 
@@ -441,11 +463,12 @@ def test_run_morevqa_m3_off_question_only_vqa(oracle_bundle, mock_backend):
     video = _video(oracle_bundle, 1)
     session = ToolSession(mock_backend)
     out = run_morevqa(
-        video, qa, RunConfig(stage_mask=(True, True, False)), RuleBasedPlanner(), session
+        EvalItem(video.video_id, qa), video, session,
+        Settings(RunConfig(stage_mask=(True, True, False)), planner=RuleBasedPlanner()),
     )
     vqa_calls = [c for c in session.trace if c["method"] == "vqa"]
     assert vqa_calls
-    revised = out.stage_records[0].memory_after["question"]
+    revised = out.trace["stage_records"][0]["memory_after"]["question"]
     assert all(c["args"]["question"] == revised for c in vqa_calls)
 
 
@@ -466,12 +489,15 @@ def test_default_item_renders_once_per_stage_and_parses_nothing(
     for module in (morevqa.pipeline, morevqa.lang):
         monkeypatch.setattr(module, "parse", counted("parse", morevqa.lang.parse))
     qa, video = _qa(oracle_bundle, 4), _video(oracle_bundle, 4)
-    out = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
+    out = run_morevqa(
+        EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+        Settings(RunConfig(), planner=RuleBasedPlanner()),
+    )
     assert out.failure is None and out.mc_index == qa.answer_mc
     assert calls == {"render": 3, "parse": 0}
     # the rule planner's rendering is both the emitted and the parsed program
-    for record in out.stage_records[:3]:
-        assert record.emitted_program == record.parsed_program
+    for record in out.trace["stage_records"][:3]:
+        assert record["emitted_program"] == record["parsed_program"]
 
 
 def test_run_morevqa_failure_is_structured(oracle_bundle, mock_backend):
@@ -484,7 +510,10 @@ def test_run_morevqa_failure_is_structured(oracle_bundle, mock_backend):
 
     qa = _qa(oracle_bundle, 0)
     video = _video(oracle_bundle, 0)
-    out = run_morevqa(video, qa, RunConfig(), BrokenPlanner(), ToolSession(mock_backend))
+    out = run_morevqa(
+        EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+        Settings(RunConfig(), planner=BrokenPlanner()),
+    )
     assert out.failure is not None
     assert out.failure["stage"] == "event_parsing"
     assert out.failure["kind"] == "parse_error"
@@ -494,22 +523,34 @@ def test_llm_backed_planner_matches_rule_planner_under_mock(oracle_bundle, mock_
     for index in (0, 4, 5, 6):
         qa = _qa(oracle_bundle, index)
         video = _video(oracle_bundle, index)
-        rule = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
-        llm = run_morevqa(video, qa, RunConfig(), LlmBackedPlanner(), ToolSession(mock_backend))
+        rule = run_morevqa(
+            EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+            Settings(RunConfig(), planner=RuleBasedPlanner()),
+        )
+        llm = run_morevqa(
+            EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+            Settings(RunConfig(), planner=LlmBackedPlanner()),
+        )
         assert rule.answer == llm.answer
-        assert [r.emitted_program for r in rule.stage_records[:3]] == [
-            r.emitted_program for r in llm.stage_records[:3]
+        assert [r["emitted_program"] for r in rule.trace["stage_records"][:3]] == [
+            r["emitted_program"] for r in llm.trace["stage_records"][:3]
         ]
 
 
 def test_run_morevqa_determinism(oracle_bundle, mock_backend):
     qa = _qa(oracle_bundle, 4)
     video = _video(oracle_bundle, 4)
-    first = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
-    second = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
+    first = run_morevqa(
+        EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+        Settings(RunConfig(), planner=RuleBasedPlanner()),
+    )
+    second = run_morevqa(
+        EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+        Settings(RunConfig(), planner=RuleBasedPlanner()),
+    )
     import json
 
-    assert json.dumps(first.trace_dict("v", "q")) == json.dumps(second.trace_dict("v", "q"))
+    assert json.dumps(first.trace) == json.dumps(second.trace)
 
 
 class _RecordedCallSession:
@@ -548,13 +589,17 @@ def test_stage_records_replay_to_memory_after(oracle_bundle, mock_backend):
         config = RunConfig(stage_mask=mask)
         qa = _qa(oracle_bundle, index)
         video = _video(oracle_bundle, index)
-        out = run_morevqa(video, qa, config, RuleBasedPlanner(), ToolSession(mock_backend))
-        for record in out.stage_records[:3]:
-            memory = MemoryState.from_json_dict(record.memory_before)
-            replay = _RecordedCallSession(record.tool_calls)
-            program = parse(record.parsed_program, FLAT) if record.parsed_program else Program()
-            RUNNERS[record.stage_name](program, memory, video, replay, config)
-            assert memory.to_json_dict() == record.memory_after
+        out = run_morevqa(
+            EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+            Settings(config, planner=RuleBasedPlanner()),
+        )
+        for record in out.trace["stage_records"][:3]:
+            memory = MemoryState.from_json_dict(record["memory_before"])
+            replay = _RecordedCallSession(record["tool_calls"])
+            parsed = record["parsed_program"]
+            program = parse(parsed, FLAT) if parsed else Program()
+            RUNNERS[record["stage_name"]](program, memory, video, replay, config)
+            assert memory.to_json_dict() == record["memory_after"]
             assert replay.queue == []
 
 
@@ -563,13 +608,16 @@ def test_grounded_to_prediction_only_flag(oracle_bundle, mock_backend):
     video = _video(oracle_bundle, 1)
     config = RunConfig(grounded_to_prediction_only=True)
     session = ToolSession(mock_backend)
-    out = run_morevqa(video, qa, config, RuleBasedPlanner(), session)
+    out = run_morevqa(
+        EvalItem(video.video_id, qa), video, session,
+        Settings(config, planner=RuleBasedPlanner()),
+    )
     # reasoning only saw the ungrounded middle frame
     vqa_frames = {c["args"]["frame_id"] for c in session.trace if c["method"] == "vqa"}
     assert vqa_frames == {25}
     # the true grounded window still reaches prediction and the output
-    assert out.grounded_window.to_list() == [22, 26]
-    assert "grounded frames: [22, 26]" in out.prediction_prompt
+    assert out.trace["grounded_window"] == [22, 26]
+    assert "grounded frames: [22, 26]" in out.trace["stage_records"][-1]["planner_prompt"]
 
 
 # --- the stage-call contract ---
@@ -638,11 +686,12 @@ def test_every_stage_error_kind_is_charged_to_its_stage(
     qa = _qa(oracle_bundle, 0)
     video = _video(oracle_bundle, 0)
     out = run_morevqa(
-        video, qa, RunConfig(), _OneStagePlanner(stage, text), ToolSession(mock_backend)
+        EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+        Settings(RunConfig(), planner=_OneStagePlanner(stage, text)),
     )
     assert out.failure is not None
     assert (out.failure["stage"], out.failure["kind"]) == (stage, kind)
-    assert [r.stage_name for r in out.stage_records] == list(STAGE_CALLS)[
+    assert [r["stage_name"] for r in out.trace["stage_records"]] == list(STAGE_CALLS)[
         : list(STAGE_CALLS).index(stage)
     ]
 
@@ -664,11 +713,14 @@ def test_rule_plan_calls_type_check_against_stage_calls(oracle_bundle, mock_back
     for index in range(len(oracle_bundle.rows)):
         qa = _qa(oracle_bundle, index)
         video = _video(oracle_bundle, index)
-        out = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
+        out = run_morevqa(
+            EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+            Settings(RunConfig(), planner=RuleBasedPlanner()),
+        )
         assert out.failure is None
-        for record in out.stage_records[:3]:
-            program = parse(record.emitted_program, FLAT)
-            calls = _stage_calls(program, record.stage_name)
+        for record in out.trace["stage_records"][:3]:
+            program = parse(record["emitted_program"], FLAT)
+            calls = _stage_calls(program, record["stage_name"])
             assert [name for name, _ in calls] == [
                 stmt.name for stmt in program.statements if stmt.name != "noop"
             ]
@@ -678,11 +730,17 @@ def test_multi_line_question_plans_alike_under_both_planners(oracle_bundle, mock
     row = oracle_bundle.rows[4]
     qa = QAItem("note:\n" + row["question"], tuple(row["candidates"]), row["answer_mc"])
     video = _video(oracle_bundle, 4)
-    rule = run_morevqa(video, qa, RunConfig(), RuleBasedPlanner(), ToolSession(mock_backend))
-    llm = run_morevqa(video, qa, RunConfig(), LlmBackedPlanner(), ToolSession(mock_backend))
+    rule = run_morevqa(
+        EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+        Settings(RunConfig(), planner=RuleBasedPlanner()),
+    )
+    llm = run_morevqa(
+        EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+        Settings(RunConfig(), planner=LlmBackedPlanner()),
+    )
     assert rule.failure is None and llm.failure is None
-    programs = [r.emitted_program for r in rule.stage_records[:3]]
-    assert programs == [r.emitted_program for r in llm.stage_records[:3]]
+    programs = [r["emitted_program"] for r in rule.trace["stage_records"][:3]]
+    assert programs == [r["emitted_program"] for r in llm.trace["stage_records"][:3]]
     assert "anchor_then_shift()" in programs[1]
     assert rule.mc_index == llm.mc_index == qa.answer_mc
 
@@ -718,7 +776,8 @@ def test_hostile_planner_output_fails_its_stage_or_runs(
     qa = _qa(oracle_bundle, index)
     video = _video(oracle_bundle, index)
     out = run_morevqa(
-        video, qa, RunConfig(), _OneStagePlanner(stage, text), ToolSession(mock_backend)
+        EvalItem(video.video_id, qa), video, ToolSession(mock_backend),
+        Settings(RunConfig(), planner=_OneStagePlanner(stage, text)),
     )
     if out.failure is not None:
         assert out.failure["stage"] == stage, (text, out.failure)

@@ -273,6 +273,19 @@ def test_request_line_over_the_cap_gets_one_invalid_reply(server):
     sock.close()
 
 
+def test_request_line_that_is_not_utf8_gets_invalid_and_keeps_connection(server):
+    sock = socket.create_connection(_addr(server), timeout=5)
+    fh = sock.makefile("rwb")
+    # decoded leniently, this would ask for a caption of video 'v000\ufffd'
+    fh.write(b'{"id": 3, "method": "caption", "video_id": "v000\xff", "frame_id": 1, "args": {}}\n')
+    fh.write(json.dumps(ToolRequest(4, "caption", "v000", 1).to_json_dict()).encode() + b"\n")
+    fh.flush()
+    first, second = json.loads(fh.readline()), json.loads(fh.readline())
+    assert first["id"] == 0 and first["error"].startswith("invalid: request line is not UTF-8")
+    assert second["id"] == 4 and second["ok"] is True
+    sock.close()
+
+
 def test_remote_drops_a_reply_line_over_the_cap():
     reply = b'{"id": 1, "ok": true, "result": "%s", "error": null}\n' % (b"x" * MAX_LINE_BYTES)
     fake = _ReplyServer(reply)
@@ -347,6 +360,9 @@ _BAD_REPLIES = [
      _LOCALIZE),
     # an int too large for a float is still no score in [0, 1]
     (b'{"id": 1, "ok": true, "result": 1%s, "error": null}\n' % (b"0" * 309), _SCORE),
+    # a line is UTF-8, though json.loads reads UTF-16 too (this one ends in
+    # the UTF-16 newline)
+    ('{"id": 1, "ok": true, "result": "a cat", "error": null}\n'.encode("utf-16-be"), _CAPTION),
 ]
 
 

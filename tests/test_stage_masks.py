@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from morevqa.core import STAGE_NAMES, FrameWindow, MemoryState, RunConfig
+from morevqa.core import STAGE_NAMES, FrameWindow, MemoryState, RunConfig, Settings
 from morevqa.harness import load_dataset
 from morevqa.lang import FLAT, parse, render
 from morevqa.pipeline import STAGE_CALLS, LlmBackedPlanner, RuleBasedPlanner, run_morevqa
@@ -60,7 +60,7 @@ def items(oracle_bundle, oracle_dir):
 
 def _run(item, video, config, planner, backend):
     session = ToolSession(backend)
-    outcome = run_morevqa(video, item.qa, config, planner(), session)
+    outcome = run_morevqa(item, video, session, Settings(config, planner=planner()))
     return outcome, session
 
 
@@ -74,13 +74,13 @@ def _owner(outcome, session, position: int) -> tuple[str, str]:
     is charged to, read from the clean run: stage records hold their own
     calls, planner calls included, and prediction makes every later one."""
     start = 0
-    for record in outcome.stage_records[:3]:
-        start += len(record.tool_calls)
+    for record in outcome.trace["stage_records"][:3]:
+        start += len(record["tool_calls"])
         if position <= start:
             call = session.trace[position - 1]
             planning = (call["method"] == "complete"
                         and call["args"]["prompt"].startswith(PLANNER_HEADER_PREFIX))
-            return record.stage_name, "planner_error" if planning else "tool_error"
+            return record["stage_name"], "planner_error" if planning else "tool_error"
     return "prediction", "tool_error"
 
 
@@ -88,8 +88,7 @@ def test_every_mask_and_failure_matches_the_digest(items, mock_backend):
     digest = hashlib.sha256()
 
     def update(outcome, item):
-        digest.update(json.dumps(outcome.trace_dict(item.video_id, item.qa.question))
-                      .encode("utf-8") + b"\n")
+        digest.update(json.dumps(outcome.trace).encode("utf-8") + b"\n")
 
     runs = 0
     for config, planner in itertools.product(_configs(), PLANNERS):
@@ -120,7 +119,7 @@ def test_a_tool_failure_is_charged_to_the_stage_that_made_the_call(items, mock_b
             assert (failed.failure["stage"], failed.failure["kind"]) == (stage, kind), at
             assert failed.answer == "" and failed.mc_index is None
             # the records of every stage before the failing one are kept
-            names = [r.stage_name for r in failed.stage_records]
+            names = [r["stage_name"] for r in failed.trace["stage_records"]]
             assert names == ["event_parsing", "grounding", "reasoning"][:len(names)]
             assert stage not in names
 
@@ -130,32 +129,34 @@ def test_rule_plans_survive_the_text_round_trip(items, mock_backend):
         for item, video in items:
             outcome, _ = _run(item, video, config, RuleBasedPlanner, mock_backend)
             assert outcome.failure is None
-            planned = [r for r in outcome.stage_records if r.stage_name in STAGE_CALLS]
+            planned = [r for r in outcome.trace["stage_records"]
+                       if r["stage_name"] in STAGE_CALLS]
             assert len(planned) == 3
             for record in planned:
-                memory = MemoryState.from_json_dict(record.memory_before)
-                program = rule_plan(record.stage_name, memory)
+                memory = MemoryState.from_json_dict(record["memory_before"])
+                program = rule_plan(record["stage_name"], memory)
                 assert parse(render(program), FLAT) == program
-                if record.parsed_program is not None:
-                    assert record.emitted_program == record.parsed_program == render(program)
+                if record["parsed_program"] is not None:
+                    assert (record["emitted_program"] == record["parsed_program"]
+                            == render(program))
 
 
 def test_each_stage_starts_from_the_memory_the_last_one_left(items, mock_backend):
     for config, planner in itertools.product(_configs(), PLANNERS):
         for item, video in items:
             outcome, _ = _run(item, video, config, planner, mock_backend)
-            records = outcome.stage_records
-            assert [r.stage_name for r in records] == list(STAGE_NAMES)
+            records = outcome.trace["stage_records"]
+            assert [r["stage_name"] for r in records] == list(STAGE_NAMES)
             start = MemoryState(FrameWindow.full(video.frame_count), item.qa.question)
-            assert records[0].memory_before == start.to_json_dict()
-            grounded = records[1].memory_after["grounded_window"]
+            assert records[0]["memory_before"] == start.to_json_dict()
+            grounded = records[1]["memory_after"]["grounded_window"]
             for prev, record in zip(records, records[1:]):
-                expected = prev.memory_after
-                if config.grounded_to_prediction_only and record.stage_name == "reasoning":
+                expected = prev["memory_after"]
+                if config.grounded_to_prediction_only and record["stage_name"] == "reasoning":
                     # the swap: reasoning sees only the window's middle frame
                     frames = expected["frame_ids"]
                     expected = {**expected, "grounded_window": [frames[len(frames) // 2]]}
-                elif config.grounded_to_prediction_only and record.stage_name == "prediction":
+                elif config.grounded_to_prediction_only and record["stage_name"] == "prediction":
                     # and prediction gets the grounded window back
                     expected = {**expected, "grounded_window": grounded}
-                assert record.memory_before == expected, (record.stage_name, config)
+                assert record["memory_before"] == expected, (record["stage_name"], config)

@@ -361,9 +361,16 @@ _FIRST_PAIR = _recorded(ToolRequest(1, "caption", "v1", 5),
     # an int too large for a float is still no score in [0, 1]
     (_recorded(_SCORE, '{"id": 2, "ok": true, "result": 1%s, "error": null}' % ("0" * 309)),
      "malformed score reply"),
+    # json.loads reads UTF-16 bytes too; a recording line must be UTF-8
+    (json.dumps(_SCORE.to_json_dict()).encode("utf-16-le").decode("latin-1") + "\n"
+     '{"id": 2, "ok": true, "result": 0.5, "error": null}\n', "bad request line"),
+    (_recorded(_SCORE, '{"id": 2, "ok": true, "result": 0.5, "error": null}'
+                       .encode("utf-16-le").decode("latin-1")), "bad response line"),
+    (_recorded(_SCORE, '{"id": 2, "ok": true, "result": 0.5, "error": "\xff"}'),
+     "bad response line"),
 ], ids=["bad-json", "json-array", "not-utf8", "odd-line-count", "bad-reply-json",
         "deep-reply", "reply-shape", "reply-id", "non-bool-ok", "args-string-list",
-        "args-pair-list", "huge-int-score"])
+        "args-pair-list", "huge-int-score", "utf16-request", "utf16-reply", "not-utf8-reply"])
 def test_bad_recording_raises_recording_error(tmp_path, pair, complaint):
     path = tmp_path / "rec.jsonl"
     path.write_bytes((_FIRST_PAIR + pair).encode("latin-1"))
