@@ -10,7 +10,6 @@ from .core import (
     QAType,
     RunConfig,
     Settings,
-    StageRecord,
     TemporalConjunction,
     TemporalRegion,
     VideoMeta,
@@ -55,7 +54,6 @@ __all__ = [
     "RuleBasedPlanner",
     "RunConfig",
     "Settings",
-    "StageRecord",
     "TemporalConjunction",
     "TemporalRegion",
     "ToolRequest",

@@ -222,35 +222,8 @@ class MemoryState:
         )
 
 
+# the `stage_name` of each of a `morevqa` trace's stage records, in order
 STAGE_NAMES = ("event_parsing", "grounding", "reasoning", "prediction")
-
-
-@dataclass
-class StageRecord:
-    """Interpretable trace of one stage: prompt, program, calls, memory delta."""
-
-    stage_name: str
-    planner_prompt: str
-    emitted_program: str
-    parsed_program: str | None
-    tool_calls: list[dict[str, Any]]
-    memory_before: dict[str, Any]
-    memory_after: dict[str, Any]
-
-    def __post_init__(self) -> None:
-        if self.stage_name not in STAGE_NAMES:
-            raise ValueError(f"unknown stage name {self.stage_name!r}")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "stage_name": self.stage_name,
-            "planner_prompt": self.planner_prompt,
-            "emitted_program": self.emitted_program,
-            "parsed_program": self.parsed_program,
-            "tool_calls": list(self.tool_calls),
-            "memory_before": self.memory_before,
-            "memory_after": self.memory_after,
-        }
 
 
 @dataclass(frozen=True)

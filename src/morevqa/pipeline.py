@@ -3,7 +3,7 @@
 Stage programs are flat tool-call programs obtained from a planner, executed
 against MemoryState and the tool session. `run_morevqa` runs the stages from
 one table; a disabled stage runs its runner on the empty program. Every stage
-leaves a StageRecord so the whole run is replayable from its trace.
+leaves a stage record so the whole run is replayable from its trace.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .core import (
     QAType,
     RunConfig,
     Settings,
-    StageRecord,
     TemporalConjunction,
     TemporalRegion,
     VideoMeta,
@@ -46,7 +45,7 @@ from .lang import (
 )
 from .planner import rule_plan
 from .prompts import build_planner_prompt, build_predict_prompt
-from .text import normalize_text
+from .text import best_by_overlap, normalize_text
 from .tools import ToolError, ToolSession
 
 TRIM_FRACTION = 0.4
@@ -385,13 +384,7 @@ def map_reply_to_candidate(reply: str, candidates: tuple[str, ...]) -> int:
     cand_norms = [normalize_text(cand) for cand in candidates]
     if normalized in cand_norms:
         return cand_norms.index(normalized)
-    reply_tokens = set(normalized.split())
-    best_idx, best_overlap = 0, -1
-    for idx, cand_norm in enumerate(cand_norms):
-        overlap = len(reply_tokens.intersection(cand_norm.split()))
-        if overlap > best_overlap:
-            best_idx, best_overlap = idx, overlap
-    return best_idx
+    return best_by_overlap(candidates, set(normalized.split()))
 
 
 def answer_from_reply(
@@ -434,7 +427,7 @@ def run_morevqa(
     """
     qa, config = item.qa, settings.run_config
     planner = settings.planner or RuleBasedPlanner()
-    records: list[StageRecord] = []
+    records: list[dict[str, Any]] = []
     timings: dict[str, float] = {}
     failure = None
     memory = MemoryState(frame_ids=FrameWindow.full(video.frame_count), question=qa.question)
@@ -474,17 +467,15 @@ def run_morevqa(
                 emitted = parsed if reply is None else reply
             runner(program, memory, video, session, config)
             snapshot = memory.to_json_dict()
-            records.append(
-                StageRecord(
-                    stage_name=stage,
-                    planner_prompt=prompt,
-                    emitted_program=emitted,
-                    parsed_program=parsed,
-                    tool_calls=session.trace[trace_start:],
-                    memory_before=before,
-                    memory_after=snapshot,
-                )
-            )
+            records.append({
+                "stage_name": stage,
+                "planner_prompt": prompt,
+                "emitted_program": emitted,
+                "parsed_program": parsed,
+                "tool_calls": session.trace[trace_start:],
+                "memory_before": before,
+                "memory_after": snapshot,
+            })
             timings[stage] = (time.perf_counter() - tick) * 1000.0
 
         stage = "prediction"
@@ -499,17 +490,15 @@ def run_morevqa(
         answer, mc_index, prompt, reply = final_predict(
             context, qa, session, video.video_id, extra_lines
         )
-        records.append(
-            StageRecord(
-                stage_name="prediction",
-                planner_prompt=prompt,
-                emitted_program=reply,
-                parsed_program=None,
-                tool_calls=[session.trace[-1]],
-                memory_before=snapshot,
-                memory_after=snapshot,
-            )
-        )
+        records.append({
+            "stage_name": "prediction",
+            "planner_prompt": prompt,
+            "emitted_program": reply,
+            "parsed_program": None,
+            "tool_calls": [session.trace[-1]],
+            "memory_before": snapshot,
+            "memory_after": snapshot,
+        })
         timings[stage] = (time.perf_counter() - tick) * 1000.0
     except ToolError as exc:
         failure = {"stage": stage, "kind": "tool_error", "message": str(exc)}
@@ -528,7 +517,7 @@ def run_morevqa(
         "mc_index": mc_index,
         "grounded_window": grounded.to_list() if grounded else None,
         "grounded_window_s": list(window_s) if window_s else None,
-        "stage_records": [record.to_json_dict() for record in records],
+        "stage_records": records,
         "failure": failure,
     }
     return Outcome(answer, mc_index, window_s, trace, failure, timings)

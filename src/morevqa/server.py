@@ -1,67 +1,44 @@
 """Newline-delimited JSON server exposing a backend over TCP.
 
-One request object per line, one response object per line, both UTF-8.
-Malformed lines, lines that are not UTF-8, and lines longer than
-`MAX_LINE_BYTES` produce an `invalid:`-prefixed error response, and an
-exception raised by the backend a `backend:`-prefixed one; either way the
-connection stays open.
+One request object per line, one response object per line, both UTF-8, read
+and written by the line codec in `tools`. Every line gets one response: a
+line that `read_request` refuses (a blank one too) or one longer than
+`MAX_LINE_BYTES` an `invalid:`-prefixed error, and an exception raised by the
+backend a `backend:`-prefixed one; either way the connection stays open.
 """
 
 from __future__ import annotations
 
-import json
 import socketserver
 import threading
 
-from .tools import _JSON_ERRORS, MAX_LINE_BYTES, ToolRequest, ToolResponse
+from .tools import MAX_LINE_BYTES, RequestLineError, ToolResponse, encode_line, read_request
 
 
-def _line(payload: dict) -> bytes:
-    return (json.dumps(payload) + "\n").encode("utf-8")
-
-
-def _invalid_line(req_id: int, why: str) -> bytes:
-    return _line({"id": req_id, "ok": False, "result": None, "error": f"invalid: {why}"})
-
-
-def _reply_line(backend, text: str) -> bytes:
-    """The one response line to one request line."""
-    req_id = 0
+def _reply_line(backend, line: bytes) -> bytes:
+    """The one response line to one request line, given without its newline."""
     try:
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("request must be a JSON object")
-        if type(obj.get("id")) is int:
-            req_id = obj["id"]
-        req = ToolRequest.from_json_dict(obj)
-    except _JSON_ERRORS as exc:
-        return _invalid_line(req_id, f"bad request line ({exc})")
+        req = read_request(line)
+    except RequestLineError as exc:
+        return encode_line(ToolResponse(exc.id, ok=False, error=f"invalid: {exc}"))
     try:
-        return _line(backend.dispatch(req).to_json_dict())
+        return encode_line(backend.dispatch(req))
     except Exception as exc:  # a backend fault must not drop the connection
         error = f"backend: {type(exc).__name__}: {exc}"
-        return _line(ToolResponse(req.id, ok=False, error=error).to_json_dict())
+        return encode_line(ToolResponse(req.id, ok=False, error=error))
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        while True:
-            line = self.rfile.readline(MAX_LINE_BYTES)
-            if not line:
-                return
+        while line := self.rfile.readline(MAX_LINE_BYTES):
             if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
                 while line and not line.endswith(b"\n"):  # skip the rest of the line
                     line = self.rfile.readline(MAX_LINE_BYTES)
-                reply = _invalid_line(0, f"request line longer than {MAX_LINE_BYTES} bytes")
+                error = f"invalid: request line longer than {MAX_LINE_BYTES} bytes"
+                reply = encode_line(ToolResponse(0, ok=False, error=error))
             else:
-                try:
-                    text = line.decode("utf-8").strip()
-                except UnicodeDecodeError as exc:
-                    reply = _invalid_line(0, f"request line is not UTF-8 ({exc})")
-                else:
-                    if not text:
-                        continue
-                    reply = _reply_line(self.server.backend, text)
+                # without its newline, a line reads as it does in a recording
+                reply = _reply_line(self.server.backend, line.removesuffix(b"\n"))
             self.wfile.write(reply)
             self.wfile.flush()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 _PUNCT = re.compile(r"[^\w\s]")
 
@@ -52,6 +52,12 @@ def jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / union if union else 0.0
 
 
-def token_overlap(candidate: str, context_tokens: set[str]) -> int:
-    """Number of the candidate's distinct tokens present in the context."""
-    return len(token_set(candidate) & context_tokens)
+def best_by_overlap(options: Iterable[str], context_tokens: set[str]) -> int:
+    """Index of the option with the most distinct tokens in the context, the
+    first such option winning ties."""
+    best_idx, best_overlap = 0, -1
+    for idx, option in enumerate(options):
+        overlap = len(token_set(option) & context_tokens)
+        if overlap > best_overlap:
+            best_idx, best_overlap = idx, overlap
+    return best_idx

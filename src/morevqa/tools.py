@@ -1,5 +1,6 @@
 """Tool dispatch layer: the six-method contract, a fixture-driven mock
-backend, a wire-protocol client, and record/replay.
+backend, the line codec of the wire and of recordings, a wire-protocol
+client, and record/replay.
 
 Every backend implements `dispatch(ToolRequest) -> ToolResponse`. Failures are
 reported in the response error text with a distinguishing prefix: `invalid:`
@@ -27,7 +28,7 @@ from .prompts import (
     parse_planner_prompt,
     parse_predict_prompt,
 )
-from .text import jaccard, token_overlap, token_set, whole_word_matcher
+from .text import best_by_overlap, jaccard, token_set, whole_word_matcher
 
 def _json_id(obj: dict[str, Any]) -> int:
     """The `id` field of a wire object. A float, bool or string id is
@@ -418,16 +419,6 @@ def _open_answer_pool(fixture: WorldFixture | None) -> list[str]:
     return pool
 
 
-def _best_by_overlap(options: list[str], context_tokens: set[str]) -> int:
-    best_idx = 0
-    best_overlap = -1
-    for idx, option in enumerate(options):
-        overlap = token_overlap(option, context_tokens)
-        if overlap > best_overlap:
-            best_idx, best_overlap = idx, overlap
-    return best_idx
-
-
 def mock_complete(prompt: str, fixture: WorldFixture | None) -> str:
     """Deterministic stand-in for the completion model.
 
@@ -453,11 +444,11 @@ def mock_complete(prompt: str, fixture: WorldFixture | None) -> str:
             raise MockBackendError(str(exc)) from exc
         context_tokens = token_set(context_text)
         if candidates:
-            return candidates[_best_by_overlap(candidates, context_tokens)]
+            return candidates[best_by_overlap(candidates, context_tokens)]
         pool = _open_answer_pool(fixture)
         if not pool:
             return ""
-        return pool[_best_by_overlap(pool, context_tokens)]
+        return pool[best_by_overlap(pool, context_tokens)]
     raise MockBackendError("prompt is missing a #planner or #predict header line")
 
 
@@ -555,10 +546,45 @@ class ReplyStore:
         return resp
 
 
+# --- the line codec of the wire and of recordings ---
+
+def encode_line(record: ToolRequest | ToolResponse) -> bytes:
+    """The line of a request or reply, newline included. `json.dumps` escapes
+    every non-ASCII character, so the line is ASCII and thus UTF-8."""
+    return json.dumps(record.to_json_dict()).encode() + b"\n"
+
+
+class RequestLineError(ValueError):
+    """A request line that cannot be read; `id` is the line's integer id, or 0."""
+
+    def __init__(self, why: str, req_id: int = 0) -> None:
+        super().__init__(why)
+        self.id = req_id
+
+
+def read_request(line: bytes) -> ToolRequest:
+    """The request on `line`: strict UTF-8 holding one JSON object, with only
+    JSON whitespace around it. Raises RequestLineError otherwise."""
+    try:  # json.loads would also take UTF-16 and UTF-32 bytes
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RequestLineError(f"request line is not UTF-8 ({exc})") from exc
+    req_id = 0
+    try:
+        obj = json.loads(text)
+        if type(obj) is not dict:
+            raise ValueError("request must be a JSON object")
+        if type(obj.get("id")) is int:
+            req_id = obj["id"]
+        return ToolRequest.from_json_dict(obj)
+    except _JSON_ERRORS as exc:
+        raise RequestLineError(f"bad request line ({exc})", req_id) from exc
+
+
 def _read_reply(line: bytes, req: ToolRequest) -> ToolResponse:
     """The reply on `line` to `req`. Raises ValueError when the line cannot be
     read, answers another id or carries a result of the wrong shape."""
-    try:  # json.loads would also take UTF-16 and UTF-32 bytes
+    try:  # decoded first for the reason `read_request` gives
         resp = ToolResponse.from_json_dict(json.loads(line.decode("utf-8")))
     except _JSON_ERRORS as exc:
         raise ValueError(f"bad response line ({exc})") from exc
@@ -613,7 +639,7 @@ class RemoteBackend(ReplyStore):
             self._close_locked()
 
     def _miss(self, req: ToolRequest) -> ToolResponse:
-        payload = json.dumps(req.to_json_dict()) + "\n"
+        payload = encode_line(req)
         # Write, read, check and (on a bad reply) close in one lock hold: a
         # stream that is out of step must be dropped before another thread
         # can read from it, since every session numbers its requests from 1
@@ -621,7 +647,7 @@ class RemoteBackend(ReplyStore):
         with self._lock:
             try:
                 self._connect()
-                self._sock.sendall(payload.encode("utf-8"))
+                self._sock.sendall(payload)
                 line = self._file.readline(MAX_LINE_BYTES)
             except OSError as exc:
                 self._close_locked()
@@ -655,13 +681,12 @@ class RecordingBackend(ReplyStore):
         self.inner = inner
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._fh = open(self.path, "w", encoding="utf-8")
+        self._fh = open(self.path, "wb")
 
     def _miss(self, req: ToolRequest) -> ToolResponse:
         resp = self.inner.dispatch(req)
         with self._lock:
-            self._fh.write(json.dumps(req.to_json_dict()) + "\n")
-            self._fh.write(json.dumps(resp.to_json_dict()) + "\n")
+            self._fh.write(encode_line(req) + encode_line(resp))
             self._fh.flush()
         return resp
 
@@ -680,9 +705,9 @@ class RecordingError(ValueError):
 
 
 class ReplayBackend(ReplyStore):
-    """Answers requests from a recording, whose replies are read and checked
-    as the wire client reads them; a well-formed request that was never
-    recorded is a hard error."""
+    """Answers requests from a recording, whose requests are read as the
+    server reads them and whose replies as the wire client reads them; a
+    well-formed request that was never recorded is a hard error."""
 
     def __init__(self, path: str | Path):
         super().__init__()
@@ -690,10 +715,7 @@ class ReplayBackend(ReplyStore):
         lines = [line for line in self.path.read_bytes().split(b"\n") if line.strip()]
         for pair, at in enumerate(range(0, len(lines), 2), start=1):
             try:
-                try:
-                    req = ToolRequest.from_json_dict(json.loads(lines[at].decode("utf-8")))
-                except _JSON_ERRORS as exc:
-                    raise ValueError(f"bad request line ({exc})") from exc
+                req = read_request(lines[at])
                 if at + 1 == len(lines):
                     raise ValueError("request line without a response line")
                 resp = _read_reply(lines[at + 1], req)

@@ -14,11 +14,15 @@ from morevqa import tools
 from morevqa.tools import (
     MAX_LINE_BYTES,
     METHODS,
+    RecordingError,
     RemoteBackend,
     ReplayBackend,
+    RequestLineError,
     ToolError,
     ToolRequest,
     ToolSession,
+    encode_line,
+    read_request,
 )
 
 from conftest import CONTRACT_PROBES
@@ -203,7 +207,7 @@ def test_backend_exception_keeps_connection_open():
 @pytest.mark.parametrize("req_id", [7, 1.9, 1.0, True, "7", None, [1]])
 def test_reply_carries_only_an_id_that_was_sent(mock_backend, req_id):
     line = json.dumps({"id": req_id, "method": "caption", "video_id": "v000", "frame_id": 1})
-    reply = json.loads(_reply_line(mock_backend, line))
+    reply = json.loads(_reply_line(mock_backend, line.encode()))
     if type(req_id) is int:
         assert reply["id"] == req_id and reply["ok"] is True
     else:
@@ -505,3 +509,83 @@ def test_any_json_line_gets_one_reply(wire_file, value):
     wire_file.flush()
     reply = json.loads(wire_file.readline())
     assert reply["id"] == 424242 and reply["ok"] is True
+
+
+@pytest.mark.parametrize("blank", [b"\n", b"   \n", b"\xc2\xa0\n"],
+                         ids=["empty", "spaces", "no-break-space"])
+def test_blank_line_gets_one_invalid_reply(server, blank):
+    with socket.create_connection(_addr(server), timeout=5) as sock, sock.makefile("rwb") as fh:
+        fh.write(blank + encode_line(ToolRequest(8, "caption", "v000", 1)))
+        fh.flush()
+        first, second = json.loads(fh.readline()), json.loads(fh.readline())
+    assert first["id"] == 0 and first["error"].startswith("invalid: bad request line (")
+    assert second["id"] == 8 and second["ok"] is True
+
+
+_RECORDED_REPLY = b'{"id": 5, "ok": true, "result": "c", "error": null}\n'
+
+
+def _replay_complaint(path, line: bytes) -> str:
+    """What replay says of `line` as a recording's first request line."""
+    path.write_bytes(line + b"\n" + _RECORDED_REPLY)
+    with pytest.raises(RecordingError) as err:
+        ReplayBackend(path)
+    prefix = f"recording {path}: pair 1: "
+    assert str(err.value).startswith(prefix)
+    return str(err.value)[len(prefix):]
+
+
+@pytest.mark.parametrize("line, req_id", [
+    (b'{"id": 5, "method": "caption", "video_id": "v000\xff", "frame_id": 1}', 0),
+    (b'{"id": 5, "method": caption}', 0),
+    (b"[1]", 0),
+    (b'{"id": 5, "method": "caption", "args": [["a", 1]]}', 5),
+    (b'{"id": 1.5, "method": "caption", "video_id": "v000", "frame_id": 1}', 0),
+], ids=["not-utf8", "not-json", "json-array", "args-pair-list", "float-id"])
+def test_server_and_replay_refuse_a_request_line_alike(server, tmp_path, line, req_id):
+    detail = _replay_complaint(tmp_path / "rec.jsonl", line)
+    with socket.create_connection(_addr(server), timeout=5) as sock, sock.makefile("rwb") as fh:
+        fh.write(line + b"\n")
+        fh.flush()
+        reply = json.loads(fh.readline())
+    assert reply == {"id": req_id, "ok": False, "result": None, "error": f"invalid: {detail}"}
+
+
+@pytest.fixture(scope="module")
+def recording_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "rec.jsonl"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.binary(max_size=40).filter(lambda b: b"\n" not in b and b.strip())
+       | _REQUEST_LIKE.map(lambda value: json.dumps(value).encode()))
+def test_any_refused_request_line_reads_alike_on_wire_and_in_replay(
+        mock_backend, recording_path, line):
+    try:
+        read_request(line)
+    except RequestLineError:
+        detail = _replay_complaint(recording_path, line)
+        reply = json.loads(_reply_line(mock_backend, line))
+        assert reply["error"] == f"invalid: {detail}"
+    else:  # a line that reads is answered past the reader
+        error = json.loads(_reply_line(mock_backend, line))["error"] or ""
+        assert not error.startswith(("invalid: bad request line", "invalid: request line"))
+
+
+# requests whose fields hold any JSON value; NaN is left out, as it equals nothing
+_JSON_NO_NAN = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.builds(ToolRequest, id=st.integers(), method=st.sampled_from(METHODS) | _JSON_NO_NAN,
+                 video_id=_JSON_NO_NAN, frame_id=_JSON_NO_NAN,
+                 args=st.dictionaries(st.text(max_size=8), _JSON_NO_NAN, max_size=4)))
+def test_request_line_round_trip(req):
+    line = encode_line(req)
+    assert line.endswith(b"\n") and line.count(b"\n") == 1 and line.isascii()
+    assert read_request(line) == req

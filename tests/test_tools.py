@@ -343,7 +343,7 @@ _FIRST_PAIR = _recorded(ToolRequest(1, "caption", "v1", 5),
 @pytest.mark.parametrize("pair, complaint", [
     ("{bad\n{}\n", "bad request line"),
     ("[1]\n[2]\n", "bad request line"),
-    ("\xff\n{}\n", "bad request line"),
+    ("\xff\n{}\n", "request line is not UTF-8"),
     (json.dumps(_SCORE.to_json_dict()) + "\n", "without a response line"),
     (_recorded(_SCORE, "{bad"), "bad response line"),
     (_recorded(_SCORE, "[" * 100000 + "]" * 100000), "bad response line"),
