@@ -8,15 +8,8 @@ from pathlib import Path
 from typing import Any
 
 from .core import EvalItem, JcefConfig, Outcome, QAItem, Settings, VideoMeta, uniform_sample
-from .lang import (
-    EXTENDED,
-    InterpreterError,
-    ParseError,
-    InterpretResult,
-    interpret,
-    parse,
-)
-from .pipeline import answer_from_reply
+from .lang import InterpreterError, InterpretResult, ParseError, interpret, parse
+from .pipeline import answer_from_reply, caption_line
 from .prompts import build_predict_prompt, build_single_stage_prompt
 from .tools import ToolError, ToolSession
 
@@ -62,7 +55,7 @@ def _caption_and_predict(
     """Caption the frames, then predict from the question and those captions."""
     qa = item.qa
     try:
-        lines = [f"[frame {f}] caption: {session.caption(video_id, f)}" for f in frames]
+        lines = [caption_line(session, video_id, f) for f in frames]
         prompt = build_predict_prompt(qa.question, qa.candidates, lines)
         answer, mc_index = answer_from_reply(session.complete(prompt, video_id), qa.candidates)
     except ToolError as exc:
@@ -149,7 +142,7 @@ def run_single_stage(
         return _outcome("single_stage", item,
                         failure={"kind": "missing_program", "message": str(exc)})
     try:
-        program = parse(program_text, EXTENDED)
+        program = parse(program_text)
     except ParseError as exc:
         return _outcome("single_stage", item, program=program_text,
                         failure={"kind": "parse_error", "message": str(exc)})

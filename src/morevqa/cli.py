@@ -18,6 +18,7 @@ from .harness import (
     qtype_stats,
     run_ablation,
     run_eval,
+    trace_qtype,
 )
 from .pipeline import run_morevqa
 from .server import parse_listen_address, start_server
@@ -107,6 +108,13 @@ def _resolve_workers(flag: int | None, configured: int) -> int:
     return workers
 
 
+def _address(text: str) -> tuple[str, int]:
+    try:
+        return parse_listen_address(text)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _resolve_backend(spec: str, fixtures_dir: str | None):
     """Backend spec is mock:DIR, remote:HOST:PORT, or replay:FILE."""
     kind, _, rest = spec.partition(":")
@@ -118,11 +126,9 @@ def _resolve_backend(spec: str, fixtures_dir: str | None):
             raise CliError(f"no fixtures found in {rest}")
         return MockBackend(corpus), corpus
     if kind == "remote":
-        host, _, port = rest.rpartition(":")
-        if not host or not port.isdigit():
-            raise CliError("remote backend needs remote:HOST:PORT")
+        host, port = _address(rest)
         corpus = load_corpus(fixtures_dir) if fixtures_dir else {}
-        return RemoteBackend(host, int(port)), corpus
+        return RemoteBackend(host, port), corpus
     if kind == "replay":
         if not rest:
             raise CliError("replay backend needs a recording file: replay:FILE")
@@ -235,8 +241,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         raise CliError(f"{args.traces} is not a directory")
     traces = []
     for path in sorted(traces_dir.glob("*.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            traces.append(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                trace = json.load(fh)
+            trace_qtype(trace)
+        except (ValueError, RecursionError) as exc:  # undecodable text or JSON too
+            raise CliError(f"{path}: {exc}") from None
+        traces.append(trace)
     if not traces:
         raise CliError(f"no trace files under {args.traces}")
     labels = None
@@ -244,11 +255,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         items = load_dataset(args.dataset)
         if len(items) == len(traces) and all(i.qtype_label for i in items):
             labels = [i.qtype_label for i in items]
-    try:
-        stats = qtype_stats(traces, labels)
-    except ValueError as exc:
-        raise CliError(f"cannot compute stats from these traces: {exc}") from exc
-    print(json.dumps(stats, indent=2))
+    print(json.dumps(qtype_stats(traces, labels), indent=2))
     return EXIT_OK
 
 
@@ -259,10 +266,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_mock(args: argparse.Namespace) -> int:
+    host, port = _address(args.listen)
     corpus = load_corpus(args.fixtures)
     if not corpus:
         raise CliError(f"no fixtures found in {args.fixtures}")
-    host, port = parse_listen_address(args.listen)
     server = start_server(MockBackend(corpus), host, port)
     bound_host, bound_port = server.server_address[:2]
     print(f"serving {len(corpus)} fixtures on {bound_host}:{bound_port}")

@@ -485,6 +485,24 @@ def run_ablation(
 
 # --- statistics ---
 
+def trace_qtype(trace: Any) -> tuple[str, str]:
+    """The question type and conjunction that a run trace's event-parsing
+    stage left in memory, `other` and `none` where unset. ValueError for a
+    trace with no such memory."""
+    if not isinstance(trace, dict):
+        raise ValueError("trace is not a JSON object")
+    records = trace.get("stage_records")
+    if not isinstance(records, list) or not records:
+        raise ValueError("trace lacks stage records")
+    memory = records[0].get("memory_after") if isinstance(records[0], dict) else None
+    if not isinstance(memory, dict):
+        raise ValueError("first stage record's memory_after is not an object")
+    qa_type, conjunction = memory.get("qa_type", "other"), memory.get("conjunction", "none")
+    if not (isinstance(qa_type, str) and isinstance(conjunction, str)):
+        raise ValueError("memory_after's qa_type and conjunction must be strings")
+    return qa_type, conjunction
+
+
 def qtype_stats(
     traces: list[dict[str, Any]], labels: list[str] | None = None
 ) -> dict[str, Any]:
@@ -499,14 +517,10 @@ def qtype_stats(
     conj_present = 0
     predictions: list[str] = []
     for trace in traces:
-        records = trace.get("stage_records") or []
-        if not records:
-            raise ValueError("trace lacks stage records")
-        memory = records[0]["memory_after"]
-        qa_type = memory.get("qa_type", "other")
+        qa_type, conjunction = trace_qtype(trace)
         predictions.append(qa_type)
         qa_counts[qa_type] = qa_counts.get(qa_type, 0) + 1
-        if memory.get("conjunction", "none") != "none":
+        if conjunction != "none":
             conj_present += 1
     n = len(traces)
     stats: dict[str, Any] = {

@@ -1,26 +1,23 @@
 """Tool-call program language: AST, parser, canonical renderer, interpreter.
 
-Two grammar modes exist. Flat mode admits call and assignment statements only
-and is what the stage planners emit. Extended mode adds if/else, for loops and
-return, enough to express the single-stage programs we execute; bodies are
+One grammar: call and assignment statements, if/else, for loops and return,
+enough to express whole single-stage programs. Bodies are
 indentation-delimited at 4 spaces per level and nest at most MAX_BLOCK_DEPTH
-blocks deep.
+blocks deep. The grammar does not know the stages: what a stage program may
+hold is decided by `pipeline.STAGE_CALLS` alone, which admits calls only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
-FLAT = "flat"
-EXTENDED = "extended"
-MODES = (FLAT, EXTENDED)
-
 MAX_EXPR_DEPTH = 16
 MAX_BLOCK_DEPTH = 16
-DEFAULT_STEP_BUDGET = 10_000
+STEP_BUDGET = 10_000
 
 _KEYWORDS = frozenset({"if", "else", "for", "in", "return", "true", "false"})
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
@@ -356,9 +353,8 @@ class _ExprParser:
 
 
 class _BlockParser:
-    def __init__(self, lines: list[_Line], mode: str):
+    def __init__(self, lines: list[_Line]):
         self.lines = lines
-        self.mode = mode
         self.pos = 0
 
     def parse_block(self, level: int) -> list[Stmt]:
@@ -383,9 +379,9 @@ class _BlockParser:
         self.pos += 1
         toks = line.tokens
         head = toks[0]
+        word = head.value if head.kind == "NAME" else None
 
-        if head.kind == "NAME" and head.value == "if":
-            self._check_extended(head, line)
+        if word == "if":
             if not (toks[-1].kind == "OP" and toks[-1].value == ":"):
                 raise ParseError(line.lineno, toks[-1].col, "expected ':' at end of 'if'", line.raw)
             cond = _ExprParser(toks[1:-1], line.lineno, line.raw).parse_full()
@@ -401,11 +397,10 @@ class _BlockParser:
                 orelse = self._require_block(level, else_line)
             return If(cond, then, orelse)
 
-        if head.kind == "NAME" and head.value == "else":
+        if word == "else":
             raise ParseError(head.line, head.col, "'else' without a matching 'if'", line.raw)
 
-        if head.kind == "NAME" and head.value == "for":
-            self._check_extended(head, line)
+        if word == "for":
             if (
                 len(toks) < 5
                 or toks[1].kind != "NAME"
@@ -420,32 +415,19 @@ class _BlockParser:
             body = self._require_block(level, line)
             return For(toks[1].value, iterable, body)
 
-        if head.kind == "NAME" and head.value == "return":
-            self._check_extended(head, line)
+        if word == "return":
             if len(toks) == 1:
                 raise ParseError(head.line, head.col, "'return' requires a value", line.raw)
             return Return(_ExprParser(toks[1:], line.lineno, line.raw).parse_full())
 
-        if (
-            head.kind == "NAME"
-            and head.value not in _KEYWORDS
-            and len(toks) >= 2
-            and toks[1].kind == "OP"
-            and toks[1].value == "="
-        ):
-            rhs = _ExprParser(toks[2:], line.lineno, line.raw).parse_full()
-            return Assign(head.value, rhs)
+        if (word is not None and word not in _KEYWORDS
+                and len(toks) >= 2 and toks[1].kind == "OP" and toks[1].value == "="):
+            return Assign(word, _ExprParser(toks[2:], line.lineno, line.raw).parse_full())
 
         expr = _ExprParser(toks, line.lineno, line.raw).parse_full()
         if isinstance(expr, CallExpr):
             return CallStmt(expr.name, expr.args)
         raise ParseError(head.line, head.col, "expected a call statement", line.raw)
-
-    def _check_extended(self, tok: _Token, line: _Line) -> None:
-        if self.mode != EXTENDED:
-            raise ParseError(
-                tok.line, tok.col, f"{tok.value!r} is not allowed in flat mode", line.raw
-            )
 
     @staticmethod
     def _is_else(line: _Line) -> bool:
@@ -459,15 +441,13 @@ class _BlockParser:
         )
 
 
-def parse(text: str, mode: str = FLAT) -> Program:
-    """Parse program text in the given mode. Raises ParseError on bad input."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+def parse(text: str) -> Program:
+    """Parse program text. Raises ParseError on bad input."""
     lines = _logical_lines(text)
     if not lines:
         first = text.split("\n", 1)[0]
         raise ParseError(1, 1, "empty program", first)
-    parser = _BlockParser(lines, mode)
+    parser = _BlockParser(lines)
     stmts = parser.parse_block(0)
     if parser.pos < len(lines):
         bad = parser.lines[parser.pos]
@@ -540,7 +520,7 @@ def _stmt_lines(stmt: Stmt, level: int) -> list[str]:
 
 
 def render(program: Program) -> str:
-    """Canonical text form; parse(render(p), mode) is structurally p."""
+    """Canonical text form; parse(render(p)) is structurally p."""
     lines: list[str] = []
     for stmt in program.statements:
         lines.extend(_stmt_lines(stmt, 0))
@@ -563,41 +543,35 @@ class _ReturnSignal(Exception):
 
 
 _CMP_FUNCS: dict[str, Callable[[Any, Any], bool]] = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
 
 def interpret(
-    program: Program,
-    env: Mapping[str, Any] | None = None,
-    dispatch: Mapping[str, Callable[..., Any]] | None = None,
-    step_budget: int = DEFAULT_STEP_BUDGET,
+    program: Program, env: Mapping[str, Any], dispatch: Mapping[str, Callable[..., Any]]
 ) -> InterpretResult:
-    """Execute an extended-mode program against a callable registry.
+    """Execute a program with variables preset from `env`, calling the
+    functions of `dispatch`.
 
     Statements run in order; `for` iterates list values; `return`
     short-circuits. The result value is the returned value, or the value of
     the last executed statement. Every dispatched call lands in the trace.
+    More than STEP_BUDGET statements and calls is an InterpreterError.
     """
-    variables: dict[str, Any] = dict(env or {})
-    registry: Mapping[str, Callable[..., Any]] = dispatch or {}
+    variables: dict[str, Any] = dict(env)
     calls: list[tuple[str, tuple, Any]] = []
     steps = 0
 
     def tick() -> None:
         nonlocal steps
         steps += 1
-        if steps > step_budget:
-            raise InterpreterError(f"step budget of {step_budget} exceeded", kind="budget")
+        if steps > STEP_BUDGET:
+            raise InterpreterError(f"step budget of {STEP_BUDGET} exceeded", kind="budget")
 
     def do_call(name: str, arg_values: tuple) -> Any:
         tick()
-        fn = registry.get(name)
+        fn = dispatch.get(name)
         if fn is None:
             raise InterpreterError(f"unknown tool {name!r}", kind="dispatch")
         try:

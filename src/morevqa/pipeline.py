@@ -1,9 +1,10 @@
 """Three-stage reasoning pipeline over shared memory, plus final prediction.
 
-Stage programs are flat tool-call programs obtained from a planner, executed
-against MemoryState and the tool session. `run_morevqa` runs the stages from
-one table; a disabled stage runs its runner on the empty program. Every stage
-leaves a stage record so the whole run is replayable from its trace.
+Stage programs are tool-call programs obtained from a planner, checked
+against their stage's call table and executed against MemoryState and the
+tool session. `run_morevqa` runs the stages from one table; a disabled stage
+runs its runner on the empty program. Every stage leaves a stage record so
+the whole run is replayable from its trace.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .core import (
     window_to_seconds,
 )
 from .lang import (
-    FLAT,
     BoolLit,
     CallStmt,
     FloatLit,
@@ -71,8 +71,6 @@ class StageError(Exception):
 class RuleBasedPlanner:
     """Emits stage programs directly from the keyword tables; no tool access."""
 
-    kind = "rule_based"
-
     def plan(self, stage: str, memory: MemoryState, prompt: str, session: ToolSession,
              video_id: str | None) -> tuple[None, Program]:
         return None, rule_plan(stage, memory)
@@ -81,12 +79,10 @@ class RuleBasedPlanner:
 class LlmBackedPlanner:
     """Obtains stage programs from a complete-capable backend."""
 
-    kind = "llm_backed"
-
     def plan(self, stage: str, memory: MemoryState, prompt: str, session: ToolSession,
              video_id: str | None) -> tuple[str, Program]:
         reply = session.complete(prompt, video_id)
-        return reply, parse(reply, FLAT)
+        return reply, parse(reply)
 
 
 # --- window operations ---
@@ -143,8 +139,11 @@ def apply_conjunction(
 # is also that stage's ablation.
 
 # What each stage program may call, and the type of each argument. A planner's
-# output is untrusted text, so `_stage_calls` checks every statement against
-# this table once; a runner sees only calls that passed, arguments converted.
+# output is untrusted text in the one program grammar, so `_stage_calls`
+# checks every statement against this table once. It is the only place that
+# limits a stage program: an assignment, `if`, `for` or `return` is a
+# `bad_statement` here. A runner sees only calls that passed, arguments
+# converted.
 # Every event-parsing and reasoning call but `noop` takes exactly one argument.
 STAGE_CALLS: dict[str, dict[str, tuple[type, ...]]] = {
     "event_parsing": {
@@ -348,6 +347,12 @@ def _plan(
 
 # --- context assembly and prediction ---
 
+def caption_line(session: ToolSession, video_id: str | None, frame_id: int) -> str:
+    """The context line of one frame's caption. `build_context` and the
+    caption-and-predict baselines both write it, so their prompts agree."""
+    return f"[frame {frame_id}] caption: {session.caption(video_id, frame_id)}"
+
+
 def build_context(
     memory: MemoryState, video: VideoMeta, session: ToolSession, n: int
 ) -> list[str]:
@@ -358,7 +363,7 @@ def build_context(
         raise ValueError("n must be >= 1")
     video_id = video.video_id
     entries = [
-        ((frame_id, 0, -1), f"[frame {frame_id}] caption: {session.caption(video_id, frame_id)}")
+        ((frame_id, 0, -1), caption_line(session, video_id, frame_id))
         for frame_id in uniform_sample(video.frame_count, n)
     ]
     for key, answer in memory.extra.items():

@@ -1,6 +1,6 @@
 """Deterministic rule-based stage planner.
 
-Emits grammar-valid flat programs from keyword tables over the question, so
+Emits stage programs of calls from keyword tables over the question, so
 the whole pipeline is runnable and testable without a language model. The
 mock completion backend routes planner prompts here as well.
 """
@@ -233,7 +233,7 @@ _STAGE_PLANNERS = {
 
 
 def rule_plan(stage: str, memory: MemoryState) -> Program:
-    """The flat program for a stage. Its rendering always parses back to it."""
+    """The program of calls for a stage. Its rendering always parses back to it."""
     if stage not in _STAGE_PLANNERS:
         raise ValueError(f"no rule planner for stage {stage!r}")
     return _STAGE_PLANNERS[stage](memory)

@@ -9,6 +9,7 @@ backend a `backend:`-prefixed one; either way the connection stays open.
 
 from __future__ import annotations
 
+import re
 import socketserver
 import threading
 
@@ -60,8 +61,10 @@ def start_server(backend, host: str = "127.0.0.1", port: int = 0) -> ToolServer:
     return server
 
 
-def parse_listen_address(listen: str) -> tuple[str, int]:
-    host, _, port_text = listen.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(f"listen address must be HOST:PORT, got {listen!r}")
-    return host, int(port_text)
+def parse_listen_address(address: str) -> tuple[str, int]:
+    """The host and port of `HOST:PORT`, the port ASCII digits in 0-65535;
+    ValueError otherwise. Both `serve-mock --listen` and `remote:` read it."""
+    host, _, port = address.rpartition(":")
+    if not host or not re.fullmatch(r"[0-9]{1,5}", port) or int(port) > 65535:
+        raise ValueError(f"address must be HOST:PORT with a port in 0-65535, got {address!r}")
+    return host, int(port)

@@ -712,7 +712,7 @@ class ReplayBackend(ReplyStore):
     def __init__(self, path: str | Path):
         super().__init__()
         self.path = Path(path)
-        lines = [line for line in self.path.read_bytes().split(b"\n") if line.strip()]
+        lines = [line for line in self.path.read_bytes().split(b"\n") if line]
         for pair, at in enumerate(range(0, len(lines), 2), start=1):
             try:
                 req = read_request(lines[at])

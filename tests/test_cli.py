@@ -185,6 +185,53 @@ def test_stats_command(oracle_dir, tmp_path, capsys):
     assert stats["agreement"]["diagonal"] == 1.0
 
 
+_GOOD_MEMORY = {"qa_type": "why", "conjunction": "none"}
+
+
+@pytest.mark.parametrize("content, complaint", [
+    (b"\xff{}", "codec can't decode"),
+    (b"{not json", "Expecting property name"),
+    (b"[1]", "trace is not a JSON object"),
+    (json.dumps({"stage_records": [{"memory_after": [1]}]}).encode(),
+     "memory_after is not an object"),
+    (json.dumps({"stage_records": [{"memory_after": {**_GOOD_MEMORY, "qa_type": 3}}]}).encode(),
+     "must be strings"),
+    (json.dumps({"stage_records": [{"memory_after": {**_GOOD_MEMORY, "conjunction": None}}]})
+     .encode(), "must be strings"),
+], ids=["not-utf8", "not-json", "json-array", "memory-list", "qa-type-int", "conjunction-null"])
+def test_stats_refuses_a_malformed_trace_file(tmp_path, capsys, content, complaint):
+    good = {"stage_records": [{"memory_after": _GOOD_MEMORY}]}
+    (tmp_path / "a.json").write_text(json.dumps(good), encoding="utf-8")
+    bad = tmp_path / "b.json"
+    bad.write_bytes(content)
+    assert main(["stats", "--traces", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ") and complaint in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, address", [
+    ("serve-mock", "nonsense"),
+    ("serve-mock", "127.0.0.1:99999"),  # past the last port
+    ("eval", "127.0.0.1:\u00b2"),  # a digit to str.isdigit, not to int()
+    ("eval", "127.0.0.1:99999"),  # not port 99999 - 65536
+], ids=["listen-no-port", "listen-port-range", "remote-superscript", "remote-port-range"])
+def test_bad_address_exits_two(oracle_dir, capsys, command, address):
+    fixtures = str(oracle_dir / "fixtures")
+    if command == "serve-mock":
+        argv = ["serve-mock", "--fixtures", fixtures, "--listen", address]
+    else:
+        argv = ["eval", "--dataset", str(oracle_dir / "dataset.jsonl"), "--system", "morevqa",
+                "--backend", f"remote:{address}", "--fixtures", fixtures]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: address must be HOST:PORT with a port in 0-65535, got {address!r}\n"
+    )
+
+
 def test_record_then_replay_cli(oracle_dir, tmp_path):
     recording = tmp_path / "rec.jsonl"
     out_live = tmp_path / "live"

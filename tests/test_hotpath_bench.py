@@ -1,5 +1,5 @@
 """Micro-benchmarks of the per-item hot path: plan text to AST and back, the
-oracle's authored single-stage programs parsed in extended mode (the only
+oracle's authored single-stage programs, with their blocks, parsed (the only
 parses a default grid makes; a stage planner builds its `Program` directly and
 parses nothing), one rule-planner stage, the stage-call check of a planned
 program, the content key of a tool request, text normalization of a question
@@ -21,7 +21,7 @@ import itertools
 import pytest
 
 from morevqa.core import EvalItem, FrameWindow, MemoryState, QAItem, RunConfig, Settings
-from morevqa.lang import EXTENDED, FLAT, parse, render
+from morevqa.lang import parse, render
 from morevqa.pipeline import RuleBasedPlanner, _stage_calls, build_context, run_morevqa
 from morevqa.planner import rule_plan
 from morevqa.prompts import build_planner_prompt, build_predict_prompt
@@ -47,7 +47,7 @@ def plan_text():
 
 
 def test_bench_parse(benchmark, plan_text):
-    program = benchmark(parse, plan_text, FLAT)
+    program = benchmark(parse, plan_text)
     assert render(program) == plan_text
 
 
@@ -55,15 +55,15 @@ def test_bench_parse_extended(benchmark, oracle_bundle):
     texts = list(oracle_bundle.programs.values())
 
     def parse_all():
-        return [parse(text, EXTENDED) for text in texts]
+        return [parse(text) for text in texts]
 
     programs = benchmark(parse_all)
     assert len(programs) == 3
-    assert [parse(render(p), EXTENDED) for p in programs] == programs
+    assert [parse(render(p)) for p in programs] == programs
 
 
 def test_bench_render(benchmark, plan_text):
-    program = parse(plan_text, FLAT)
+    program = parse(plan_text)
     assert benchmark(render, program) == plan_text
 
 
@@ -71,11 +71,11 @@ def test_bench_rule_planner_plan(benchmark):
     memory = MemoryState(FrameWindow.full(32), QUESTION)
     prompt = build_planner_prompt("event_parsing", memory.to_json_dict())
     reply, program = benchmark(RuleBasedPlanner().plan, "event_parsing", memory, prompt, None, None)
-    assert reply is None and parse(render(program), FLAT) == program
+    assert reply is None and parse(render(program)) == program
 
 
 def test_bench_stage_calls(benchmark, plan_text):
-    program = parse(plan_text, FLAT)
+    program = parse(plan_text)
     calls = benchmark(_stage_calls, program, "event_parsing")
     assert [name for name, _ in calls] == [stmt.name for stmt in program.statements]
 

@@ -8,10 +8,8 @@ from hypothesis import given, strategies as st
 
 from astgen import random_flat_program, random_extended_program
 from morevqa.lang import (
-    EXTENDED,
-    FLAT,
     MAX_BLOCK_DEPTH,
-    MODES,
+    STEP_BUDGET,
     Assign,
     CallExpr,
     CallStmt,
@@ -33,7 +31,7 @@ from morevqa.lang import (
 
 
 def test_parse_single_flat_call():
-    program = parse('localize("cat lying on its back")', FLAT)
+    program = parse('localize("cat lying on its back")')
     assert program == Program(
         (CallStmt("localize", (StringLit("cat lying on its back"),)),)
     )
@@ -41,10 +39,10 @@ def test_parse_single_flat_call():
 
 def test_parse_empty_input_rejected():
     with pytest.raises(ParseError) as err:
-        parse("", FLAT)
+        parse("")
     assert err.value.line == 1
     with pytest.raises(ParseError):
-        parse("   \n\n# just a comment\n", EXTENDED)
+        parse("   \n\n# just a comment\n")
 
 
 def test_parse_extended_if_ast():
@@ -56,7 +54,7 @@ def test_parse_extended_if_ast():
             'return xs',
         ]
     )
-    program = parse(text, EXTENDED)
+    program = parse(text)
     expected = Program(
         (
             Assign("xs", CallExpr("localize", (StringLit("ball"),))),
@@ -74,21 +72,14 @@ def test_parse_extended_if_ast():
     assert isinstance(then_branch.statements[0], CallStmt)
 
 
-def test_flat_mode_rejects_control_flow():
-    for text in ("if x == 1:\n    noop()", "for f in xs:\n    noop()", "return 1"):
-        with pytest.raises(ParseError):
-            parse(text, FLAT)
-        parse(text, EXTENDED)  # same text is fine in extended mode
-
-
 def test_flat_mode_admits_assignment():
-    program = parse('x = caption(3)', FLAT)
+    program = parse('x = caption(3)')
     assert isinstance(program.statements[0], Assign)
 
 
 def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
-        parse('noop()\ntrim($)', FLAT)
+        parse('noop()\ntrim($)')
     assert err.value.line == 2
     assert err.value.col >= 5
     assert "$" in err.value.snippet
@@ -104,7 +95,7 @@ def test_parse_error_positions():
 ], ids=["superscript", "arabic-indic", "digit-superscript", "too-long", "inf", "minus-inf"])
 def test_bad_number_is_a_parse_error(text, col):
     with pytest.raises(ParseError) as err:
-        parse(text, FLAT)
+        parse(text)
     assert (err.value.line, err.value.col) == (1, col)
 
 
@@ -114,10 +105,10 @@ _PROGRAM_CHARS = st.sampled_from(
 )
 
 
-@given(st.text() | st.lists(_PROGRAM_CHARS, max_size=40).map("".join), st.sampled_from(MODES))
-def test_parse_returns_a_program_or_raises_parse_error(text, mode):
+@given(st.text() | st.lists(_PROGRAM_CHARS, max_size=40).map("".join))
+def test_parse_returns_a_program_or_raises_parse_error(text):
     try:
-        program = parse(text, mode)
+        program = parse(text)
     except ParseError:
         return
     assert isinstance(program, Program)
@@ -138,16 +129,16 @@ _CALL_PIECES = st.sampled_from(["f", "if", "(", ")", ",", " ", *_CALL_ARGS])
 def test_trailing_comment_never_changes_a_parse(line):
     # appending a comment keeps a line's Program, or its ParseError, as it was
     try:
-        program = parse(line, EXTENDED)
+        program = parse(line)
     except ParseError:
         with pytest.raises(ParseError):
-            parse(line + "  # c", EXTENDED)
+            parse(line + "  # c")
     else:
-        assert parse(line + "  # c", EXTENDED) == program
+        assert parse(line + "  # c") == program
 
 
 def test_ast_nodes_are_frozen():
-    node = parse('f("a", [1, x], y == 2.5)', EXTENDED).statements[0]
+    node = parse('f("a", [1, x], y == 2.5)').statements[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.name = "g"
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -156,11 +147,11 @@ def test_ast_nodes_are_frozen():
 
 def test_bad_indentation_rejected():
     with pytest.raises(ParseError):
-        parse("if x == 1:\n   noop()", EXTENDED)  # 3 spaces
+        parse("if x == 1:\n   noop()")  # 3 spaces
     with pytest.raises(ParseError):
-        parse("noop()\n    noop()", EXTENDED)  # stray indent
+        parse("noop()\n    noop()")  # stray indent
     with pytest.raises(ParseError):
-        parse("if x == 1:\nnoop()", EXTENDED)  # missing block
+        parse("if x == 1:\nnoop()")  # missing block
 
 
 def _nested_ifs(depth: int) -> str:
@@ -176,10 +167,10 @@ def _nested_ifs(depth: int) -> str:
 ], ids=["expression", "block", "block-400"])
 def test_depth_bound_enforced(deep, shallow, line):
     with pytest.raises(ParseError) as err:
-        parse(deep, EXTENDED)
+        parse(deep)
     assert "deep" in err.value.message
     assert err.value.line == line
-    parse(shallow, EXTENDED)
+    parse(shallow)
 
 
 def test_render_single_call():
@@ -224,19 +215,19 @@ def test_round_trip_samples():
     rng = random.Random(7)
     for _ in range(50):
         program = random_flat_program(rng)
-        assert parse(render(program), FLAT) == program
+        assert parse(render(program)) == program
     for _ in range(50):
         program = random_extended_program(rng)
-        assert parse(render(program), EXTENDED) == program
+        assert parse(render(program)) == program
 
 
 def test_string_escapes_round_trip():
     program = Program((CallStmt("say", (StringLit('a "b" \\ c\nd\te'),)),))
-    assert parse(render(program), FLAT) == program
+    assert parse(render(program)) == program
 
 
 def test_interpret_return_literal():
-    assert interpret(parse("return 2", EXTENDED), {}, {}).value == 2
+    assert interpret(parse("return 2"), {}, {}).value == 2
 
 
 def test_interpret_for_loop_with_stub_dispatch():
@@ -258,7 +249,7 @@ def test_interpret_for_loop_with_stub_dispatch():
         return True
 
     result = interpret(
-        parse(text, EXTENDED), {}, {"localize": fake_localize, "verify_action": fake_verify}
+        parse(text), {}, {"localize": fake_localize, "verify_action": fake_verify}
     )
     assert result.value == [3, 8]
     assert seen == [3, 8]
@@ -267,20 +258,20 @@ def test_interpret_for_loop_with_stub_dispatch():
 
 def test_interpret_false_if_keeps_preceding_value():
     text = "\n".join(["x = 5", "if x == 6:", "    x = 7"])
-    assert interpret(parse(text, EXTENDED), {}, {}).value == 5
+    assert interpret(parse(text), {}, {}).value == 5
 
 
 def test_interpret_env_preload_and_unbound():
-    assert interpret(parse("return question", EXTENDED), {"question": "q?"}, {}).value == "q?"
+    assert interpret(parse("return question"), {"question": "q?"}, {}).value == "q?"
     with pytest.raises(InterpreterError) as err:
-        interpret(parse("return quesiton", EXTENDED), {"question": "q?"}, {})
+        interpret(parse("return quesiton"), {"question": "q?"}, {})
     assert err.value.kind == "unbound"
     assert "quesiton" in str(err.value)
 
 
 def test_interpret_non_list_for_iterable():
     with pytest.raises(InterpreterError) as err:
-        interpret(parse("for f in 3:\n    noop()", EXTENDED), {}, {"noop": lambda: None})
+        interpret(parse("for f in 3:\n    noop()"), {}, {"noop": lambda: None})
     assert err.value.kind == "iterable"
 
 
@@ -289,14 +280,14 @@ def test_interpret_dispatch_failure_carries_tool_error():
         raise RuntimeError("tool exploded")
 
     with pytest.raises(InterpreterError) as err:
-        interpret(parse("broken()", EXTENDED), {}, {"broken": broken})
+        interpret(parse("broken()"), {}, {"broken": broken})
     assert err.value.kind == "dispatch"
     assert "tool exploded" in str(err.value)
 
 
 def test_interpret_unknown_tool():
     with pytest.raises(InterpreterError) as err:
-        interpret(parse("mystery()", EXTENDED), {}, {})
+        interpret(parse("mystery()"), {}, {})
     assert err.value.kind == "dispatch"
 
 
@@ -311,15 +302,18 @@ def test_interpret_step_budget():
     )
     env = {"xs": list(range(30))}
     with pytest.raises(InterpreterError) as err:
-        interpret(parse(text, EXTENDED), env, {"tick": lambda: 0})
+        interpret(parse(text), env, {"tick": lambda: 0})
     assert err.value.kind == "budget"
-    # a generous budget lets the same program finish
-    interpret(parse(text, EXTENDED), env, {"tick": lambda: 0}, step_budget=120_000)
+    # each statement is one step: the budget admits exactly STEP_BUDGET of them
+    assert interpret(parse("x = 1\n" * STEP_BUDGET), {}, {}).value == 1
+    with pytest.raises(InterpreterError) as err:
+        interpret(parse("x = 1\n" * (STEP_BUDGET + 1)), {}, {})
+    assert err.value.kind == "budget"
 
 
 def test_interpret_strict_bool_condition():
     with pytest.raises(InterpreterError) as err:
-        interpret(parse("if 1:\n    noop()", EXTENDED), {}, {"noop": lambda: None})
+        interpret(parse("if 1:\n    noop()"), {}, {"noop": lambda: None})
     assert err.value.kind == "type"
 
 
@@ -335,7 +329,7 @@ def test_interpret_budget_bounds_dispatched_steps_fuzz():
         except InterpreterError as err:
             assert err.kind == "budget"
         else:
-            assert len(result.calls) <= 10_000
+            assert len(result.calls) <= STEP_BUDGET
 
 
 def test_interpret_deterministic_trace():

@@ -20,7 +20,7 @@ from morevqa.core import (
     TemporalRegion,
     uniform_sample,
 )
-from morevqa.lang import FLAT, Assign, CallStmt, Program, parse, render
+from morevqa.lang import Assign, CallStmt, Program, parse, render
 from morevqa.pipeline import (
     STAGE_CALLS,
     RuleBasedPlanner,
@@ -238,13 +238,13 @@ def test_event_parsing_simple_question_keeps_window(oracle_bundle, mock_backend)
 def test_event_parsing_unknown_call_is_stage_error():
     memory = MemoryState(frame_ids=FrameWindow.full(8), question="q")
     with pytest.raises(StageError) as err:
-        run_event_parsing(parse("explode()", FLAT), memory, None, None, RunConfig())
+        run_event_parsing(parse("explode()"), memory, None, None, RunConfig())
     assert err.value.kind == "unknown_call"
 
 
 def test_event_parsing_event_overflow():
     memory = MemoryState(frame_ids=FrameWindow.full(8), question="q")
-    program = parse('\n'.join(f'parse_event("e{i}")' for i in range(3)), FLAT)
+    program = parse('\n'.join(f'parse_event("e{i}")' for i in range(3)))
     with pytest.raises(StageError) as err:
         run_event_parsing(program, memory, None, None, RunConfig())
     assert err.value.kind == "event_overflow"
@@ -254,7 +254,7 @@ def test_noop_program_leaves_memory_identical():
     config = RunConfig()
     memory = MemoryState(frame_ids=FrameWindow.full(8), question="q")
     snapshot = memory.to_json_dict()
-    run_event_parsing(parse("noop()", FLAT), memory, None, None, config)
+    run_event_parsing(parse("noop()"), memory, None, None, config)
     assert memory.to_json_dict() == snapshot
     run_event_parsing(Program(), memory, None, None, config)
     assert memory.to_json_dict() == snapshot
@@ -502,11 +502,9 @@ def test_default_item_renders_once_per_stage_and_parses_nothing(
 
 def test_run_morevqa_failure_is_structured(oracle_bundle, mock_backend):
     class BrokenPlanner:
-        kind = "rule_based"
-
         def plan(self, stage, memory, prompt, session, video_id):
             text = "this is ( not a program"
-            return text, parse(text, FLAT)
+            return text, parse(text)
 
     qa = _qa(oracle_bundle, 0)
     video = _video(oracle_bundle, 0)
@@ -597,7 +595,7 @@ def test_stage_records_replay_to_memory_after(oracle_bundle, mock_backend):
             memory = MemoryState.from_json_dict(record["memory_before"])
             replay = _RecordedCallSession(record["tool_calls"])
             parsed = record["parsed_program"]
-            program = parse(parsed, FLAT) if parsed else Program()
+            program = parse(parsed) if parsed else Program()
             RUNNERS[record["stage_name"]](program, memory, video, replay, config)
             assert memory.to_json_dict() == record["memory_after"]
             assert replay.queue == []
@@ -626,8 +624,6 @@ class _OneStagePlanner:
     """Answers one stage with a fixed program text (or raises the exception
     given in its place) and plans every other stage by the rules."""
 
-    kind = "rule_based"
-
     def __init__(self, stage, text):
         self.stage = stage
         self.text = text
@@ -637,7 +633,7 @@ class _OneStagePlanner:
             return RuleBasedPlanner().plan(stage, memory, prompt, session, video_id)
         if isinstance(self.text, Exception):
             raise self.text
-        return self.text, parse(self.text, FLAT)
+        return self.text, parse(self.text)
 
 
 # (stage, planner output, failure kind); item 0 parses one event
@@ -676,6 +672,10 @@ STAGE_FAILURES = [
     ("grounding", "anchor_then_shift()", "bad_call"),
     ("reasoning", "subquestion(", "parse_error"),
     ("grounding", ToolError("complete", "backend: down"), "planner_error"),
+    # the grammar admits blocks and return; no stage table does
+    ("event_parsing", 'if true:\n    classify("why")', "bad_statement"),
+    ("grounding", 'for e in ["cat"]:\n    localize(e)', "bad_statement"),
+    ("reasoning", "return 1", "bad_statement"),
 ]
 
 
@@ -698,12 +698,12 @@ def test_every_stage_error_kind_is_charged_to_its_stage(
 
 def test_bad_argument_names_the_signature():
     with pytest.raises(StageError) as err:
-        _stage_calls(parse("trim(3)", FLAT), "event_parsing")
+        _stage_calls(parse("trim(3)"), "event_parsing")
     assert err.value.message == "expected trim(beginning|middle|end|whole), got trim(3)"
 
 
 def test_stage_calls_convert_arguments_and_drop_noop():
-    program = parse('noop()\ntrim("end")\nrequire_ocr(false)\nparse_event("x")', FLAT)
+    program = parse('noop()\ntrim("end")\nrequire_ocr(false)\nparse_event("x")')
     assert _stage_calls(program, "event_parsing") == [
         ("trim", [TemporalRegion.END]), ("require_ocr", [False]), ("parse_event", ["x"]),
     ]
@@ -719,7 +719,7 @@ def test_rule_plan_calls_type_check_against_stage_calls(oracle_bundle, mock_back
         )
         assert out.failure is None
         for record in out.trace["stage_records"][:3]:
-            program = parse(record["emitted_program"], FLAT)
+            program = parse(record["emitted_program"])
             calls = _stage_calls(program, record["stage_name"])
             assert [name for name, _ in calls] == [
                 stmt.name for stmt in program.statements if stmt.name != "noop"

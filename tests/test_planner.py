@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from morevqa.core import FrameWindow, MemoryState, QAType, TemporalConjunction
-from morevqa.lang import FLAT, parse, render
+from morevqa.lang import parse, render
 from morevqa.planner import (
     _SPACE_BEFORE_PUNCT,
     counted_object,
@@ -144,12 +144,12 @@ def test_emitted_programs_always_parse(stage, oracle_bundle):
         memory = _memory(row["question"])
         if stage != "event_parsing":
             # populate the memory the way stage 1 would
-            program = parse(render(rule_plan("event_parsing", memory)), FLAT)
+            program = parse(render(rule_plan("event_parsing", memory)))
             from morevqa.core import RunConfig
             from morevqa.pipeline import run_event_parsing
 
             run_event_parsing(program, memory, None, None, RunConfig())
-        parse(render(rule_plan(stage, memory)), FLAT)
+        parse(render(rule_plan(stage, memory)))
 
 
 # the earlier form of `_SPACE_BEFORE_PUNCT`, which captured the mark and

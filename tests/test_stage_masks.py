@@ -22,7 +22,7 @@ import pytest
 
 from morevqa.core import STAGE_NAMES, FrameWindow, MemoryState, RunConfig, Settings
 from morevqa.harness import load_dataset
-from morevqa.lang import FLAT, parse, render
+from morevqa.lang import parse, render
 from morevqa.pipeline import STAGE_CALLS, LlmBackedPlanner, RuleBasedPlanner, run_morevqa
 from morevqa.planner import rule_plan
 from morevqa.prompts import PLANNER_HEADER_PREFIX
@@ -135,7 +135,7 @@ def test_rule_plans_survive_the_text_round_trip(items, mock_backend):
             for record in planned:
                 memory = MemoryState.from_json_dict(record["memory_before"])
                 program = rule_plan(record["stage_name"], memory)
-                assert parse(render(program), FLAT) == program
+                assert parse(render(program)) == program
                 if record["parsed_program"] is not None:
                     assert (record["emitted_program"] == record["parsed_program"]
                             == render(program))

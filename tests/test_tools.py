@@ -368,9 +368,14 @@ _FIRST_PAIR = _recorded(ToolRequest(1, "caption", "v1", 5),
                        .encode("utf-16-le").decode("latin-1")), "bad response line"),
     (_recorded(_SCORE, '{"id": 2, "ok": true, "result": 0.5, "error": "\xff"}'),
      "bad response line"),
+    # only an empty line is skipped, as the server answers any other line;
+    # a form feed is no JSON whitespace
+    ("\x0c\n", "bad request line"),
+    ("   \n", "bad request line"),
 ], ids=["bad-json", "json-array", "not-utf8", "odd-line-count", "bad-reply-json",
         "deep-reply", "reply-shape", "reply-id", "non-bool-ok", "args-string-list",
-        "args-pair-list", "huge-int-score", "utf16-request", "utf16-reply", "not-utf8-reply"])
+        "args-pair-list", "huge-int-score", "utf16-request", "utf16-reply", "not-utf8-reply",
+        "form-feed-line", "blank-line"])
 def test_bad_recording_raises_recording_error(tmp_path, pair, complaint):
     path = tmp_path / "rec.jsonl"
     path.write_bytes((_FIRST_PAIR + pair).encode("latin-1"))
