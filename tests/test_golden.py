@@ -1,17 +1,23 @@
-"""Byte identity of everything the engine writes, pinned by one digest.
+"""Byte identity of everything the engine writes, pinned by two digests.
 
-The digest was taken before the plan lexer, renderer, planner and tool-call
-path were reworked for speed; any change to a result, summary, trace or
-recording byte shows up here.
+`GRID_SHA256` was taken before the plan lexer, renderer, planner and
+tool-call path were reworked for speed; any change to a result, summary,
+trace or recording byte, or to the layout of the files, shows up there.
+`TRACE_SHA256` hashes only what the traces hold, so it does not depend on
+how they are laid out on disk.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 from morevqa.tools import RecordingBackend
 
 GRID_SHA256 = "b313bcf96c922d4115955ed80f3dcb4dd4341ae695cd9244f6c3685c9c2e17bf"
+# sha256 over one `json.dumps(trace, sort_keys=True)` line per trace, in
+# grid order and then dataset order
+TRACE_SHA256 = "4394e93417a2229cb2021a231773e3274722f914ed2352179eb772813d563e49"
 
 
 def test_grid_outputs_match_the_golden_digest(tmp_path, mock_backend, run_grid):
@@ -26,3 +32,12 @@ def test_grid_outputs_match_the_golden_digest(tmp_path, mock_backend, run_grid):
         digest.update(name.encode("utf-8") + b"\0" + files[name] + b"\0")
     assert len(files) == 8 * 30 + 8 + 8 + 1
     assert digest.hexdigest() == GRID_SHA256
+
+
+def test_grid_traces_match_the_layout_free_digest(tmp_path, mock_backend, run_grid):
+    run_grid(mock_backend, tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.glob("*/traces/*.json")):
+        trace = json.loads(path.read_text(encoding="utf-8"))
+        digest.update(json.dumps(trace, sort_keys=True).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == TRACE_SHA256
