@@ -14,8 +14,10 @@ from .harness import (
     SYSTEMS,
     BackendUnreachable,
     DatasetError,
+    ablation_csv,
     load_dataset,
     qtype_stats,
+    read_traces,
     run_ablation,
     run_eval,
     trace_qtype,
@@ -228,34 +230,31 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     rows = run_ablation(
         items, backend, corpus, run_config=run_config, out_path=out_path, workers=workers
     )
-    print("m1,m2,m3,accuracy")
-    for mask, accuracy in rows:
-        bits = ",".join(str(int(b)) for b in mask)
-        print(f"{bits},{accuracy:.6f}")
+    print(ablation_csv(rows), end="")
     return EXIT_OK
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    traces_dir = Path(args.traces)
-    if not traces_dir.is_dir():
-        raise CliError(f"{args.traces} is not a directory")
-    traces = []
-    for path in sorted(traces_dir.glob("*.json")):
+    path = args.traces
+    try:
+        traces = read_traces(path)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    for lineno, trace in enumerate(traces, start=1):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                trace = json.load(fh)
             trace_qtype(trace)
-        except (ValueError, RecursionError) as exc:  # undecodable text or JSON too
-            raise CliError(f"{path}: {exc}") from None
-        traces.append(trace)
-    if not traces:
-        raise CliError(f"no trace files under {args.traces}")
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from None
     labels = None
     if args.dataset:
         items = load_dataset(args.dataset)
         if len(items) == len(traces) and all(i.qtype_label for i in items):
             labels = [i.qtype_label for i in items]
-    print(json.dumps(qtype_stats(traces, labels), indent=2))
+    try:
+        stats = qtype_stats(traces, labels)
+    except ValueError as exc:  # no trace at all, or none that was parsed
+        raise CliError(f"{path}: {exc}") from None
+    print(json.dumps(stats, indent=2))
     return EXIT_OK
 
 
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate.add_argument("--backend", required=True)
     p_ablate.set_defaults(func=_cmd_ablate)
 
-    p_stats = sub.add_parser("stats", help="question-type statistics from traces")
+    p_stats = sub.add_parser("stats", help="question-type statistics from a traces.jsonl")
     p_stats.add_argument("--traces", required=True)
     p_stats.add_argument("--dataset")
     p_stats.set_defaults(func=_cmd_stats)

@@ -12,6 +12,7 @@ import math
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import ModuleType, NoneType
@@ -282,20 +283,12 @@ def _system(system: str) -> System:
 
 
 def run_item(
-    system: str,
-    item: EvalItem,
-    video: VideoMeta | None,
-    backend,
-    run_config: RunConfig,
-    jcef_config: JcefConfig,
-    dataset_dir: Path | None = None,
-    planner=None,
+    system: str, item: EvalItem, video: VideoMeta | None, backend, settings: Settings
 ) -> EvalResult:
     """Evaluate one item with a fresh tool session."""
     row = _system(system)
     if video is None and row.needs_video:
         raise ValueError(f"system {system!r} needs video metadata")
-    settings = Settings(run_config, jcef_config, dataset_dir, planner)
     started = time.perf_counter()
     outcome = getattr(row.module, row.runner)(item, video, ToolSession(backend), settings)
     timings = outcome.timings_ms
@@ -363,13 +356,12 @@ def run_eval(
     dataset_dir: str | Path | None = None,
     planner=None,
 ) -> tuple[list[EvalResult], dict[str, Any]]:
-    """Evaluate every item; write results, summary, traces, timings."""
+    """Evaluate every item; with `out_dir`, write its outputs there."""
     needs_video = _system(system).needs_video
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    run_config = run_config or RunConfig()
-    jcef_config = jcef_config or JcefConfig()
-    dataset_dir = Path(dataset_dir) if dataset_dir is not None else None
+    settings = Settings(run_config or RunConfig(), jcef_config or JcefConfig(),
+                        Path(dataset_dir) if dataset_dir is not None else None, planner)
     # `eval --record` wraps the client: probe the client itself, so that
     # the probe is never recorded
     client = backend.inner if isinstance(backend, RecordingBackend) else backend
@@ -379,9 +371,7 @@ def run_eval(
     def one(item: EvalItem) -> EvalResult:
         try:
             video = _video_meta_for(item, fixtures) if needs_video else None
-            return run_item(
-                system, item, video, backend, run_config, jcef_config, dataset_dir, planner
-            )
+            return run_item(system, item, video, backend, settings)
         except Exception as exc:  # per-item failures are recorded, not fatal
             failure = {"kind": "item_error", "error_type": type(exc).__name__,
                        "message": str(exc)}
@@ -436,25 +426,36 @@ def run_eval(
     return results, summary
 
 
+def _write_jsonl(path: Path, rows: Iterable[Any]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
+
+
 def write_eval_outputs(out_dir: Path, results: list[EvalResult], summary: dict[str, Any]) -> None:
+    """`summary.json` and three JSONL files of one line per item in dataset
+    order: `results.jsonl`, `timings.jsonl` and `traces.jsonl`."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
-        for res in results:
-            fh.write(json.dumps(res.to_json_dict()) + "\n")
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    with open(out_dir / "timings.jsonl", "w", encoding="utf-8") as fh:
-        for res in results:
-            fh.write(
-                json.dumps({"video_id": res.item.video_id, "timings_ms": res.timings_ms}) + "\n"
-            )
-    traces = out_dir / "traces"
-    traces.mkdir(exist_ok=True)
-    for idx, res in enumerate(results):
-        with open(traces / f"{idx:04d}_{res.item.video_id}.json", "w", encoding="utf-8") as fh:
-            json.dump(res.trace, fh, indent=2)
-            fh.write("\n")
+    _write_jsonl(out_dir / "results.jsonl", (res.to_json_dict() for res in results))
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    timings = ({"video_id": res.item.video_id, "timings_ms": res.timings_ms} for res in results)
+    _write_jsonl(out_dir / "timings.jsonl", timings)
+    _write_jsonl(out_dir / "traces.jsonl", (res.trace for res in results))
+
+
+def read_traces(path: str | Path) -> list[dict[str, Any]]:
+    """The traces of a `traces.jsonl`, one per line, in order. A line that
+    is not a UTF-8 JSON object raises ValueError naming `FILE:LINE`."""
+    traces: list[dict[str, Any]] = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                trace = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # undecodable text or JSON too
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not isinstance(trace, dict):
+                raise ValueError(f"{path}:{lineno}: trace is not a JSON object")
+            traces.append(trace)
+    return traces
 
 
 def run_ablation(
@@ -475,25 +476,29 @@ def run_ablation(
         )
         rows.append((mask, summary["accuracy"]))
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("m1,m2,m3,accuracy\n")
-            for mask, accuracy in rows:
-                bits = ",".join(str(int(b)) for b in mask)
-                fh.write(f"{bits},{accuracy:.6f}\n")
+        Path(out_path).write_text(ablation_csv(rows), encoding="utf-8")
     return rows
+
+
+def ablation_csv(rows: Iterable[tuple[tuple[bool, bool, bool], float]]) -> str:
+    """The `m1,m2,m3,accuracy` text of ablation rows, header included."""
+    lines = ["m1,m2,m3,accuracy"]
+    lines += [",".join(str(int(b)) for b in mask) + f",{accuracy:.6f}" for mask, accuracy in rows]
+    return "\n".join(lines) + "\n"
 
 
 # --- statistics ---
 
-def trace_qtype(trace: Any) -> tuple[str, str]:
+def trace_qtype(trace: dict[str, Any]) -> tuple[str, str] | None:
     """The question type and conjunction that a run trace's event-parsing
-    stage left in memory, `other` and `none` where unset. ValueError for a
-    trace with no such memory."""
-    if not isinstance(trace, dict):
-        raise ValueError("trace is not a JSON object")
+    stage left in memory, `other` and `none` where unset; None for a trace
+    with no stage records (another system's, or an item that failed in
+    event parsing). ValueError for a malformed first stage record."""
     records = trace.get("stage_records")
-    if not isinstance(records, list) or not records:
-        raise ValueError("trace lacks stage records")
+    if records is None or records == []:
+        return None
+    if not isinstance(records, list):
+        raise ValueError("stage_records is not a list")
     memory = records[0].get("memory_after") if isinstance(records[0], dict) else None
     if not isinstance(memory, dict):
         raise ValueError("first stage record's memory_after is not an object")
@@ -508,38 +513,32 @@ def qtype_stats(
 ) -> dict[str, Any]:
     """Distributions of parsed question types and conjunction presence.
 
-    Reads the event-parsing stage's memory from run traces. With dataset
+    Reads the event-parsing stage's memory from run traces; a trace without
+    it, and its label, are left out and counted as `unparsed`. With dataset
     labels, also emits a label-against-prediction agreement table.
     """
     if not traces:
         raise ValueError("no traces given")
-    qa_counts: dict[str, int] = {}
-    conj_present = 0
-    predictions: list[str] = []
-    for trace in traces:
-        qa_type, conjunction = trace_qtype(trace)
-        predictions.append(qa_type)
-        qa_counts[qa_type] = qa_counts.get(qa_type, 0) + 1
-        if conjunction != "none":
-            conj_present += 1
-    n = len(traces)
+    if labels is not None and len(labels) != len(traces):
+        raise ValueError("labels and traces must align")
+    parsed = [(idx, qtype) for idx, trace in enumerate(traces)
+              if (qtype := trace_qtype(trace)) is not None]
+    if not parsed:
+        raise ValueError("no trace holds an event-parsing stage record")
+    n = len(parsed)
+    qa_counts = Counter(qa_type for _, (qa_type, _) in parsed)
+    conj_present = sum(conjunction != "none" for _, (_, conjunction) in parsed)
     stats: dict[str, Any] = {
-        "count": n,
+        "count": len(traces),
+        "unparsed": len(traces) - n,
         "qa_type": {name: count / n for name, count in sorted(qa_counts.items())},
         "conjunction": {"present": conj_present / n, "absent": (n - conj_present) / n},
     }
     if labels is not None:
-        if len(labels) != n:
-            raise ValueError("labels and traces must align")
+        cells = Counter((labels[idx], pred) for idx, (pred, _) in parsed)
         matrix: dict[str, dict[str, int]] = {}
-        agree = 0
-        for label, pred in zip(labels, predictions):
-            row = matrix.setdefault(label, {})
-            row[pred] = row.get(pred, 0) + 1
-            if label == pred:
-                agree += 1
-        stats["agreement"] = {
-            "diagonal": agree / n,
-            "matrix": {k: dict(sorted(v.items())) for k, v in sorted(matrix.items())},
-        }
+        for (label, pred), count in sorted(cells.items()):
+            matrix.setdefault(label, {})[pred] = count
+        agree = sum(count for (label, pred), count in cells.items() if label == pred)
+        stats["agreement"] = {"diagonal": agree / n, "matrix": matrix}
     return stats

@@ -408,11 +408,8 @@ def final_predict(
     qa: QAItem,
     session: ToolSession,
     video_id: str | None = None,
-    extra_lines: list[str] | None = None,
 ) -> tuple[str, int | None, str, str]:
     """Returns (answer_text, mc_index, prompt, raw_reply)."""
-    if extra_lines:
-        context_lines = context_lines + extra_lines
     prompt = build_predict_prompt(qa.question, qa.candidates, context_lines)
     reply = session.complete(prompt, video_id)
     return (*answer_from_reply(reply, qa.candidates), prompt, reply)
@@ -489,12 +486,9 @@ def run_morevqa(
         if config.grounded_to_prediction_only:
             snapshot = memory.to_json_dict()
         context = build_context(memory, video, session, config.n_context_frames)
-        extra_lines = None
         if config.grounded_to_prediction_only and full_grounded is not None:
-            extra_lines = [f"grounded frames: {full_grounded.to_list()}"]
-        answer, mc_index, prompt, reply = final_predict(
-            context, qa, session, video.video_id, extra_lines
-        )
+            context.append(f"grounded frames: {full_grounded.to_list()}")
+        answer, mc_index, prompt, reply = final_predict(context, qa, session, video.video_id)
         records.append({
             "stage_name": "prediction",
             "planner_prompt": prompt,

@@ -51,7 +51,7 @@ def mock_backend(oracle_bundle):
 def run_grid(oracle_bundle, oracle_dir):
     """Run the grid over the oracle corpus on one backend, writing each
     evaluation under `out_root`; return the bytes of every `results.jsonl`,
-    `summary.json` and trace file, keyed by path relative to `out_root`."""
+    `summary.json` and `traces.jsonl`, keyed by path relative to `out_root`."""
     items = load_dataset(oracle_dir / "dataset.jsonl")
 
     def run(backend, out_root: Path) -> dict[str, bytes]:
@@ -59,7 +59,7 @@ def run_grid(oracle_bundle, oracle_dir):
             run_eval(items, system, backend, oracle_bundle.fixtures, run_config=config,
                      out_dir=out_root / f"{idx}_{system}", dataset_dir=oracle_dir)
         paths = [*out_root.glob("*/results.jsonl"), *out_root.glob("*/summary.json"),
-                 *out_root.glob("*/traces/*.json")]
+                 *out_root.glob("*/traces.jsonl")]
         return {str(p.relative_to(out_root)): p.read_bytes() for p in sorted(paths)}
 
     return run

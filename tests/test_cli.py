@@ -26,8 +26,7 @@ def test_eval_writes_results_and_reruns_identically(oracle_dir, tmp_path, capsys
     assert main(argv + ["--out", str(out_b)]) == 0
     assert _read(out_a / "results.jsonl") == _read(out_b / "results.jsonl")
     assert _read(out_a / "summary.json") == _read(out_b / "summary.json")
-    for trace in sorted((out_a / "traces").iterdir()):
-        assert _read(trace) == _read(out_b / "traces" / trace.name)
+    assert _read(out_a / "traces.jsonl") == _read(out_b / "traces.jsonl")
     lines = (out_a / "results.jsonl").read_text().strip().split("\n")
     assert len(lines) == 30
     summary = json.loads((out_a / "summary.json").read_text())
@@ -177,7 +176,8 @@ def test_stats_command(oracle_dir, tmp_path, capsys):
     )
     capsys.readouterr()
     rc = main(
-        ["stats", "--traces", str(out / "traces"), "--dataset", str(oracle_dir / "dataset.jsonl")]
+        ["stats", "--traces", str(out / "traces.jsonl"),
+         "--dataset", str(oracle_dir / "dataset.jsonl")]
     )
     assert rc == 0
     stats = json.loads(capsys.readouterr().out)
@@ -198,16 +198,51 @@ _GOOD_MEMORY = {"qa_type": "why", "conjunction": "none"}
      "must be strings"),
     (json.dumps({"stage_records": [{"memory_after": {**_GOOD_MEMORY, "conjunction": None}}]})
      .encode(), "must be strings"),
-], ids=["not-utf8", "not-json", "json-array", "memory-list", "qa-type-int", "conjunction-null"])
+    (json.dumps({"stage_records": "event_parsing"}).encode(), "stage_records is not a list"),
+], ids=["not-utf8", "not-json", "json-array", "memory-list", "qa-type-int", "conjunction-null",
+        "records-string"])
 def test_stats_refuses_a_malformed_trace_file(tmp_path, capsys, content, complaint):
     good = {"stage_records": [{"memory_after": _GOOD_MEMORY}]}
-    (tmp_path / "a.json").write_text(json.dumps(good), encoding="utf-8")
-    bad = tmp_path / "b.json"
-    bad.write_bytes(content)
-    assert main(["stats", "--traces", str(tmp_path)]) == 2
+    path = tmp_path / "traces.jsonl"
+    path.write_bytes(json.dumps(good).encode() + b"\n" + content + b"\n")
+    assert main(["stats", "--traces", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {bad}: ") and complaint in captured.err
+    assert captured.err.startswith(f"error: {path}:2: ") and complaint in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def _stats_over(tmp_path, traces):
+    path = tmp_path / "traces.jsonl"
+    path.write_text("".join(json.dumps(trace) + "\n" for trace in traces), encoding="utf-8")
+    return main(["stats", "--traces", str(path)])
+
+
+_EVENT_PARSING_FAILED = {
+    "system": "morevqa", "video_id": "v001", "question": "why?", "answer": "",
+    "mc_index": None, "grounded_window": None, "grounded_window_s": None,
+    "stage_records": [],
+    "failure": {"stage": "event_parsing", "kind": "parse_error", "message": "bad program"},
+}
+
+
+def test_stats_leaves_out_a_trace_without_stage_records(oracle_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["eval", "--dataset", str(oracle_dir / "dataset.jsonl"), "--system", "morevqa",
+          "--backend", f"mock:{oracle_dir / 'fixtures'}", "--out", str(out)])
+    good = json.loads((out / "traces.jsonl").read_text(encoding="utf-8").split("\n")[0])
+    capsys.readouterr()
+    assert _stats_over(tmp_path, [good, _EVENT_PARSING_FAILED]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["count"] == 2 and stats["unparsed"] == 1
+    assert sum(stats["qa_type"].values()) == 1.0
+
+
+def test_stats_needs_one_parsed_trace(tmp_path, capsys):
+    assert _stats_over(tmp_path, [_EVENT_PARSING_FAILED, {"system": "jcef"}]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tmp_path / 'traces.jsonl'}: ")
     assert captured.err.count("\n") == 1
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from morevqa.baselines import JcefConfig
 from morevqa.cli import main
-from morevqa.core import QAItem, RunConfig
+from morevqa.core import QAItem, RunConfig, Settings
 from morevqa.pipeline import LlmBackedPlanner
 from morevqa.tools import (
     RecordingBackend,
@@ -33,6 +34,7 @@ from morevqa.harness import (
     interval_iou,
     load_dataset,
     qtype_stats,
+    read_traces,
     run_ablation,
     run_eval,
     run_item,
@@ -341,13 +343,12 @@ def test_run_eval_permutation_leaves_aggregates(oracle_dir, oracle_bundle, mock_
 
 def _sequential(items, system, backend, fixtures):
     """The reference: one `run_item` after another, outside `run_eval`."""
-    return [run_item(system, item, fixtures[item.video_id].video_meta(), backend,
-                     RunConfig(), JcefConfig()) for item in items]
+    return [run_item(system, item, fixtures[item.video_id].video_meta(), backend, Settings())
+            for item in items]
 
 
 def _output_bytes(out_dir):
-    paths = [out_dir / "results.jsonl", out_dir / "summary.json",
-             *sorted((out_dir / "traces").iterdir())]
+    paths = [out_dir / "results.jsonl", out_dir / "summary.json", out_dir / "traces.jsonl"]
     return {path.relative_to(out_dir): path.read_bytes() for path in paths}
 
 
@@ -361,6 +362,31 @@ def test_run_eval_workers_match_sequential(oracle_dir, oracle_bundle, mock_backe
                       out_dir=tmp_path / "par", workers=workers)
     assert [r.to_json_dict() for r in seq] == [r.to_json_dict() for r in par]
     assert _output_bytes(tmp_path / "seq") == _output_bytes(tmp_path / "par")
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_out_dir_holds_one_trace_line_per_item(oracle_dir, oracle_bundle, mock_backend, tmp_path,
+                                               workers):
+    results, _ = run_eval(_items(oracle_dir), "morevqa", mock_backend, oracle_bundle.fixtures,
+                          out_dir=tmp_path, workers=workers)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "results.jsonl", "summary.json", "timings.jsonl", "traces.jsonl"]
+    lines = (tmp_path / "traces.jsonl").read_text(encoding="utf-8").split("\n")
+    assert lines == [json.dumps(res.trace) for res in results] + [""]
+    assert read_traces(tmp_path / "traces.jsonl") == [res.trace for res in results]
+
+
+@pytest.mark.parametrize("content, complaint", [
+    (b"\xff{}\n", "codec can't decode"),
+    (b"{not json\n", "Expecting property name"),
+    (b"\n", "Expecting value"),
+    (b"[1]\n", "trace is not a JSON object"),
+], ids=["not-utf8", "not-json", "blank", "json-array"])
+def test_read_traces_names_the_bad_line(tmp_path, content, complaint):
+    path = tmp_path / "traces.jsonl"
+    path.write_bytes(b"{}\n" + content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{complaint}"):
+        read_traces(path)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -500,6 +526,19 @@ def test_qtype_stats_counts():
     assert stats["qa_type"]["why"] == pytest.approx(0.4)
     assert sum(stats["qa_type"].values()) == pytest.approx(1.0, abs=1e-12)
     assert stats["conjunction"]["present"] == 0.0
+
+
+def test_qtype_stats_leaves_out_traces_without_stage_records():
+    parsed = {"stage_records": [{"memory_after": {"qa_type": "why", "conjunction": "and"}}]}
+    traces = [parsed, {"system": "jcef"}, {"stage_records": []}, parsed]
+    stats = qtype_stats(traces, labels=["why", "what", "when", "what"])
+    assert stats["count"] == 4 and stats["unparsed"] == 2
+    assert stats["qa_type"] == {"why": 1.0}
+    assert stats["conjunction"] == {"present": 1.0, "absent": 0.0}
+    assert stats["agreement"] == {
+        "diagonal": 0.5, "matrix": {"what": {"why": 1}, "why": {"why": 1}}}
+    with pytest.raises(ValueError, match="no trace holds"):
+        qtype_stats(traces[1:3])
 
 
 def test_qtype_stats_agreement_table():
