@@ -44,6 +44,10 @@ class CliError(Exception):
     pass
 
 
+# what `main` and `scripts/run_experiments.py` print as one `error:` line, exit 2
+FATAL_ERRORS = (CliError, BackendUnreachable, OSError, DatasetError, FixtureError, RecordingError)
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
@@ -117,7 +121,7 @@ def _address(text: str) -> tuple[str, int]:
         raise CliError(str(exc)) from None
 
 
-def _resolve_backend(spec: str, fixtures_dir: str | None):
+def resolve_backend(spec: str, fixtures_dir: str | None):
     """Backend spec is mock:DIR, remote:HOST:PORT, or replay:FILE."""
     kind, _, rest = spec.partition(":")
     if kind == "mock":
@@ -159,7 +163,7 @@ def _load_items(args: argparse.Namespace) -> list[EvalItem]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     run_config, jcef_config, workers = _build_configs(args.config)
     workers = _resolve_workers(args.workers, workers)
-    backend, corpus = _resolve_backend(args.backend, args.fixtures)
+    backend, corpus = resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, args.system)
     items = _load_items(args)
     recording = None
@@ -188,7 +192,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     run_config, _, _ = _build_configs(args.config)
-    backend, corpus = _resolve_backend(args.backend, args.fixtures)
+    backend, corpus = resolve_backend(args.backend, args.fixtures)
     if args.video not in corpus:
         raise CliError(f"video {args.video!r} not found in the fixture corpus")
     video = corpus[args.video].video_meta()
@@ -221,7 +225,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     run_config, _, workers = _build_configs(args.config)
     workers = _resolve_workers(args.workers, workers)
-    backend, corpus = _resolve_backend(args.backend, args.fixtures)
+    backend, corpus = resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, "morevqa")
     items = _load_items(args)
     out_path = Path(args.out) / "ablation.csv" if args.out else None
@@ -247,9 +251,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             raise CliError(f"{path}:{lineno}: {exc}") from None
     labels = None
     if args.dataset:
-        items = load_dataset(args.dataset)
-        if len(items) == len(traces) and all(i.qtype_label for i in items):
-            labels = [i.qtype_label for i in items]
+        labels = [i.qtype_label for i in load_dataset(args.dataset)]
+        if len(labels) != len(traces):
+            raise CliError(f"{args.dataset}: {len(labels)} items, {len(traces)} traces in {path}")
+        if None in labels:
+            raise CliError(f"{args.dataset}: item {labels.index(None) + 1} has no qtype")
     try:
         stats = qtype_stats(traces, labels)
     except ValueError as exc:  # no trace at all, or none that was parsed
@@ -344,8 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, BackendUnreachable, OSError, DatasetError, FixtureError,
-            RecordingError) as exc:
+    except FATAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

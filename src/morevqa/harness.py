@@ -62,6 +62,10 @@ ABLATION_MASKS = (
     (True, True, True),
 )
 
+# The run_experiments.py grid: every system, then `morevqa` under each mask.
+GRID = tuple((system, RunConfig()) for system in SYSTEMS) + tuple(
+    ("morevqa", RunConfig(stage_mask=mask)) for mask in ABLATION_MASKS)
+
 
 class DatasetError(Exception):
     pass
@@ -386,9 +390,9 @@ def run_eval(
                        "question": item.qa.question, "failure": failure},
             )
 
-    # The caller and `workers - 1` threads each claim the next unclaimed
-    # index; writing results[idx] keeps dataset order. With one worker no
-    # thread starts.
+    # The caller and `min(workers, len(items)) - 1` threads each claim the
+    # next unclaimed index; writing results[idx] keeps dataset order. With
+    # one worker or one item no thread starts.
     results: list[EvalResult | None] = [None] * len(items)
     pending = iter(range(len(items)))
     claim_lock = threading.Lock()
@@ -406,7 +410,7 @@ def run_eval(
                 escaped.append(exc)
                 return
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(items)) - 1)]
     try:
         for thread in threads:
             thread.start()
@@ -493,13 +497,17 @@ def trace_qtype(trace: dict[str, Any]) -> tuple[str, str] | None:
     """The question type and conjunction that a run trace's event-parsing
     stage left in memory, `other` and `none` where unset; None for a trace
     with no stage records (another system's, or an item that failed in
-    event parsing). ValueError for a malformed first stage record."""
+    event parsing) or whose event parsing was masked off (its record's
+    `parsed_program` is null). ValueError for a malformed first stage record."""
     records = trace.get("stage_records")
     if records is None or records == []:
         return None
     if not isinstance(records, list):
         raise ValueError("stage_records is not a list")
-    memory = records[0].get("memory_after") if isinstance(records[0], dict) else None
+    first = records[0] if isinstance(records[0], dict) else {}
+    if first.get("stage_name") == "event_parsing" and first.get("parsed_program", "") is None:
+        return None
+    memory = first.get("memory_after")
     if not isinstance(memory, dict):
         raise ValueError("first stage record's memory_after is not an object")
     qa_type, conjunction = memory.get("qa_type", "other"), memory.get("conjunction", "none")
@@ -513,9 +521,10 @@ def qtype_stats(
 ) -> dict[str, Any]:
     """Distributions of parsed question types and conjunction presence.
 
-    Reads the event-parsing stage's memory from run traces; a trace without
-    it, and its label, are left out and counted as `unparsed`. With dataset
-    labels, also emits a label-against-prediction agreement table.
+    Reads the event-parsing stage's memory from run traces; a trace where
+    `trace_qtype` finds none, and its label, are left out and counted as
+    `unparsed`. With dataset labels, also emits a label-against-prediction
+    agreement table.
     """
     if not traces:
         raise ValueError("no traces given")
@@ -524,7 +533,7 @@ def qtype_stats(
     parsed = [(idx, qtype) for idx, trace in enumerate(traces)
               if (qtype := trace_qtype(trace)) is not None]
     if not parsed:
-        raise ValueError("no trace holds an event-parsing stage record")
+        raise ValueError("no trace holds a parsed question")
     n = len(parsed)
     qa_counts = Counter(qa_type for _, (qa_type, _) in parsed)
     conj_present = sum(conjunction != "none" for _, (_, conjunction) in parsed)

@@ -7,15 +7,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from morevqa.core import RunConfig  # noqa: E402
 from morevqa.corpus import build_oracle_corpus, write_corpus  # noqa: E402
-from morevqa.harness import ABLATION_MASKS, SYSTEMS, load_dataset, run_eval  # noqa: E402
+from morevqa.harness import GRID, load_dataset, run_eval  # noqa: E402
 from morevqa.tools import MockBackend, ToolRequest  # noqa: E402
-
-# The run_experiments.py grid: every system, then every stage ablation mask.
-GRID = [(system, RunConfig()) for system in SYSTEMS] + [
-    ("morevqa", RunConfig(stage_mask=mask)) for mask in ABLATION_MASKS
-]
 
 # Requests to a known video and frame that break the tool contract only by a
 # mistyped optional arg, a misplaced frame id or an unknown arg; every backend
@@ -49,7 +43,7 @@ def mock_backend(oracle_bundle):
 
 @pytest.fixture(scope="session")
 def run_grid(oracle_bundle, oracle_dir):
-    """Run the grid over the oracle corpus on one backend, writing each
+    """Run `harness.GRID` over the oracle corpus on one backend, writing each
     evaluation under `out_root`; return the bytes of every `results.jsonl`,
     `summary.json` and `traces.jsonl`, keyed by path relative to `out_root`."""
     items = load_dataset(oracle_dir / "dataset.jsonl")

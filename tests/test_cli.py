@@ -7,6 +7,8 @@ import pytest
 
 from morevqa import cli
 from morevqa.cli import main
+from morevqa.core import RunConfig
+from morevqa.harness import load_dataset, run_eval
 
 
 def _read(path):
@@ -244,6 +246,56 @@ def test_stats_needs_one_parsed_trace(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {tmp_path / 'traces.jsonl'}: ")
     assert captured.err.count("\n") == 1
+
+
+def _morevqa_trace(oracle_bundle, oracle_dir, mock_backend, mask):
+    item = load_dataset(oracle_dir / "dataset.jsonl")[0]
+    results, _ = run_eval([item], "morevqa", mock_backend, oracle_bundle.fixtures,
+                          run_config=RunConfig(stage_mask=mask))
+    return results[0].trace
+
+
+def test_stats_leaves_out_a_masked_event_parser(oracle_bundle, oracle_dir, mock_backend,
+                                                tmp_path, capsys):
+    """A masked-off event parser still leaves a record, with a null
+    `parsed_program` and the default `qa_type`; it parsed nothing."""
+    masked = _morevqa_trace(oracle_bundle, oracle_dir, mock_backend, (False, False, False))
+    assert masked["stage_records"][0]["parsed_program"] is None
+    parsed = _morevqa_trace(oracle_bundle, oracle_dir, mock_backend, (True, True, True))
+    assert _stats_over(tmp_path, [masked, parsed]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["count"] == 2 and stats["unparsed"] == 1
+    assert stats["qa_type"] == {parsed["stage_records"][0]["memory_after"]["qa_type"]: 1.0}
+
+    assert _stats_over(tmp_path, [masked, masked]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'traces.jsonl'}: no trace holds a parsed question\n"
+
+
+@pytest.mark.parametrize("case", ["five-items", "no-qtype"])
+def test_stats_refuses_a_dataset_that_does_not_label_every_trace(oracle_dir, tmp_path, capsys,
+                                                                 case):
+    out = tmp_path / "out"
+    assert main(["eval", "--dataset", str(oracle_dir / "dataset.jsonl"), "--system", "morevqa",
+                 "--backend", f"mock:{oracle_dir / 'fixtures'}", "--out", str(out)]) == 0
+    capsys.readouterr()
+    traces = out / "traces.jsonl"
+    lines = (oracle_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    dataset = tmp_path / "dataset.jsonl"
+    if case == "five-items":
+        lines = lines[:5]
+        complaint = f"{dataset}: 5 items, 30 traces in {traces}"
+    else:
+        row = json.loads(lines[2])
+        del row["qtype"]
+        lines[2] = json.dumps(row)
+        complaint = f"{dataset}: item 3 has no qtype"
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["stats", "--traces", str(traces), "--dataset", str(dataset)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {complaint}\n"
 
 
 @pytest.mark.parametrize("command, address", [

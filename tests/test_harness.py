@@ -364,6 +364,25 @@ def test_run_eval_workers_match_sequential(oracle_dir, oracle_bundle, mock_backe
     assert _output_bytes(tmp_path / "seq") == _output_bytes(tmp_path / "par")
 
 
+def test_run_eval_starts_no_thread_beyond_its_items(oracle_dir, oracle_bundle, mock_backend,
+                                                    monkeypatch):
+    """64 workers over 3 items: the caller and 2 threads claim all 3."""
+    made = []
+
+    class _Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    items = _items(oracle_dir)[:3]
+    monkeypatch.setattr(threading, "Thread", _Counted)
+    results, _ = run_eval(items, "morevqa", mock_backend, oracle_bundle.fixtures, workers=64)
+    monkeypatch.undo()
+    assert len(made) <= 2
+    seq = _sequential(items, "morevqa", mock_backend, oracle_bundle.fixtures)
+    assert [r.to_json_dict() for r in results] == [r.to_json_dict() for r in seq]
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 def test_out_dir_holds_one_trace_line_per_item(oracle_dir, oracle_bundle, mock_backend, tmp_path,
                                                workers):

@@ -35,6 +35,18 @@ def test_every_name_the_benchmark_imports_exists():
     assert missing == []
 
 
+def test_benchmark_grid_is_the_harness_grid(monkeypatch):
+    """`perfbench/run.py` keeps its own labelled copy of the grid; it must
+    name the same evaluations as `harness.GRID`, in the same order."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # for its `inputs`, `tracer` and `wire`
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    harness = importlib.import_module("morevqa.harness")
+    assert [(system, config) for system, config, _ in run.GRID] == list(harness.GRID)
+
+
 def test_tracer_finds_every_target_and_puts_each_back():
     tracer = _load("tracer")
     for module_name, _, _ in tracer.TARGETS:
