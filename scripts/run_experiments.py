@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from morevqa.cli import EXIT_FATAL, FATAL_ERRORS, resolve_backend
+from morevqa.cli import EXIT_FATAL, FATAL_ERRORS, resolve_backend, resolve_workers
 from morevqa.harness import GRID, SYSTEMS, ablation_csv, load_dataset, run_eval
 from morevqa.tools import RecordingBackend
 
@@ -35,22 +35,24 @@ def main() -> int:
     out_root = Path(args.out) if args.out else None
     recording = None
     try:
+        workers = resolve_workers(args.workers, 1)
         fixtures_dir = str(corpus_dir / "fixtures")
         backend, fixtures = resolve_backend(args.backend or f"mock:{fixtures_dir}", fixtures_dir)
         items = load_dataset(corpus_dir / "dataset.jsonl")
         if args.record:
             backend = recording = RecordingBackend(backend, args.record)
 
-        print(f"{len(items)} items over {len(fixtures)} videos\n")
-        print(f"{'system':<14} {'accuracy':>9} {'fail rate':>10}  per-subset")
         rows = []
         for idx, (system, config) in enumerate(GRID):
             started = time.perf_counter()
             is_system_row = idx < len(SYSTEMS)
             _, summary = run_eval(
-                items, system, backend, fixtures, run_config=config, workers=args.workers,
+                items, system, backend, fixtures, run_config=config, workers=workers,
                 out_dir=out_root / system if out_root and is_system_row else None,
                 dataset_dir=corpus_dir)
+            if idx == 0:  # a backend that cannot serve leaves stdout empty
+                print(f"{len(items)} items over {len(fixtures)} videos\n")
+                print(f"{'system':<14} {'accuracy':>9} {'fail rate':>10}  per-subset")
             if not is_system_row:
                 rows.append((config.stage_mask, summary["accuracy"]))
                 continue

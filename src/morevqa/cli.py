@@ -106,7 +106,7 @@ def _build_configs(config_path: str | None) -> tuple[RunConfig, JcefConfig, int]
     return run_config, jcef_config, workers
 
 
-def _resolve_workers(flag: int | None, configured: int) -> int:
+def resolve_workers(flag: int | None, configured: int) -> int:
     """`--workers` when given, else the config file's value; at least 1."""
     workers = configured if flag is None else flag
     if workers < 1:
@@ -162,7 +162,7 @@ def _load_items(args: argparse.Namespace) -> list[EvalItem]:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     run_config, jcef_config, workers = _build_configs(args.config)
-    workers = _resolve_workers(args.workers, workers)
+    workers = resolve_workers(args.workers, workers)
     backend, corpus = resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, args.system)
     items = _load_items(args)
@@ -224,7 +224,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     run_config, _, workers = _build_configs(args.config)
-    workers = _resolve_workers(args.workers, workers)
+    workers = resolve_workers(args.workers, workers)
     backend, corpus = resolve_backend(args.backend, args.fixtures)
     _require_fixtures(corpus, "morevqa")
     items = _load_items(args)

@@ -177,8 +177,13 @@ METHOD_ARGS = {
 METHODS = tuple(METHOD_ARGS)
 
 
-def validate_request(req: ToolRequest) -> str | None:
-    """Return a validation complaint, or None when the request fits its `METHOD_ARGS` row."""
+def check_request(req: ToolRequest) -> tuple | str:
+    """The store key of a request that fits its `METHOD_ARGS` row, or the
+    complaint (a str) about one that does not. The key is method, video and
+    frame, then each arg in table order (absent as None, a list as a tuple).
+    Only a valid request has a key, and validity fixes every value's exact
+    type, so although `True == 1.0 == 1`, two keys are equal exactly when the
+    requests' method, video, frame and sorted compact JSON args are."""
     method = req.method
     try:
         row = METHOD_ARGS[method]
@@ -197,18 +202,24 @@ def validate_request(req: ToolRequest) -> str | None:
         return f"{method} takes no frame_id"
     elif type(frame_id) is not int:
         return "frame_id must be an integer"
-    if row.args or args:  # a caption, most calls, has none to check
-        present = 0
-        for name, (check, required) in row.args.items():
-            if name in args:
-                if not check(args[name]):
-                    return f"{method} got a malformed {name} arg"
-                present += 1
-            elif required:
-                return f"{method} requires a {name} arg"
-        if present != len(args):
-            return f"{method} takes no {next(n for n in args if n not in row.args)!r} arg"
-    return None
+    if not (row.args or args):  # a caption, most calls
+        return (method, video_id, frame_id)
+    key = [method, video_id, frame_id]
+    present = 0
+    for name, (check, required) in row.args.items():
+        if name in args:
+            value = args[name]
+            if not check(value):
+                return f"{method} got a malformed {name} arg"
+            key.append(tuple(value) if type(value) is list else value)
+            present += 1
+        elif required:
+            return f"{method} requires a {name} arg"
+        else:
+            key.append(None)
+    if present != len(args):
+        return f"{method} takes no {next(n for n in args if n not in row.args)!r} arg"
+    return tuple(key)
 
 
 def validate_result_shape(method: str, result: Any) -> bool:
@@ -463,8 +474,8 @@ class MockBackend:
         self.corpus = dict(corpus)
 
     def dispatch(self, req: ToolRequest) -> ToolResponse:
-        complaint = validate_request(req)
-        if complaint is not None:
+        complaint = check_request(req)
+        if type(complaint) is str:
             return ToolResponse(req.id, ok=False, error=f"invalid: {complaint}")
         try:
             result = self._route(req)
@@ -494,37 +505,16 @@ class MockBackend:
 
 # --- content-keyed reply store ---
 
-# json.dumps builds a new encoder on each call that passes options
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def canonical_args(args: Mapping[str, Any]) -> str:
-    """`json.dumps(args, sort_keys=True, separators=(",", ":"))`."""
-    return _CANONICAL_ENCODER.encode(args) if args else "{}"
-
-
-def _request_key(req: ToolRequest) -> tuple:
-    """Store key of a validated request: method, video, frame, then its args in table order
-    (absent as None, a list as a tuple); exact arg types make it equal iff `canonical_args` is."""
-    args = req.args
-    if not args:  # a caption, most calls
-        return (req.method, req.video_id, req.frame_id)
-    return (req.method, req.video_id, req.frame_id,
-            *[tuple(value) if type(value) is list else value
-              for value in map(args.get, METHOD_ARGS[req.method].args)])
-
-
 class ReplyStore:
     """The one dispatch path of the wire client, the recorder and replay;
     each defines only `_miss(req)`. Replies are keyed by request content and
     answered under the caller's id: every tool is deterministic (`complete`
     decodes at temperature 0), so a reply answers every later request with
-    the same `_request_key`. A request that `validate_request` rejects goes
-    straight to `_miss` and is never looked up, which keeps a bool `frame_id`
-    off frame 1's entry (`True == 1`). Only ok misses are kept: `invalid:`,
-    `backend:` and `transport:` replies are asked for again. Nothing is
-    evicted. Threads share the store without a lock; two that miss one
-    request at once both ask for it.
+    the same `check_request` key. A request that `check_request` rejects has
+    no key: it goes straight to `_miss` and is never looked up. Only ok
+    misses are kept: `invalid:`, `backend:` and `transport:` replies are
+    asked for again. Nothing is evicted. Threads share the store without a
+    lock; two that miss one request at once both ask for it.
     """
 
     def __init__(self) -> None:
@@ -534,9 +524,9 @@ class ReplyStore:
         return len(self._replies)
 
     def dispatch(self, req: ToolRequest) -> ToolResponse:
-        if validate_request(req) is not None:
+        key = check_request(req)
+        if type(key) is str:
             return self._miss(req)
-        key = _request_key(req)
         hit = self._replies.get(key)
         if hit is not None:
             return ToolResponse(req.id, hit.ok, hit.result, hit.error)
@@ -721,18 +711,20 @@ class ReplayBackend(ReplyStore):
                 resp = _read_reply(lines[at + 1], req)
             except ValueError as exc:
                 raise RecordingError(f"recording {self.path}: pair {pair}: {exc}") from exc
-            if validate_request(req) is None:
-                self._replies[_request_key(req)] = resp
+            key = check_request(req)
+            if type(key) is not str:
+                self._replies[key] = resp
 
     def _miss(self, req: ToolRequest) -> ToolResponse:
         # an invalid request is answered as any live backend answers it
-        complaint = validate_request(req)
-        if complaint is not None:
+        complaint = check_request(req)
+        if type(complaint) is str:
             return ToolResponse(req.id, ok=False, error=f"invalid: {complaint}")
+        args = json.dumps(req.args, sort_keys=True, separators=(",", ":"))
         raise ReplayMissError(
             "replay miss: no recorded response for "
             f"method={req.method} video_id={req.video_id!r} "
-            f"frame_id={req.frame_id} args={canonical_args(req.args)}"
+            f"frame_id={req.frame_id} args={args}"
         )
 
 

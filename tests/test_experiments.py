@@ -129,3 +129,11 @@ def test_a_backend_that_cannot_serve_is_one_error_line(oracle_dir, spec, complai
     assert proc.returncode == 2
     assert proc.stderr.startswith(complaint)
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # no header without rows
+
+
+def test_workers_below_one_is_one_error_line(oracle_dir):
+    proc = _run(oracle_dir, "--workers", "0", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: workers must be at least 1, got 0\n"
+    assert proc.stdout == ""

@@ -2,11 +2,11 @@
 oracle's authored single-stage programs, with their blocks, parsed (the only
 parses a default grid makes; a stage planner builds its `Program` directly and
 parses nothing), one rule-planner stage, the stage-call check of a planned
-program, the content key of a tool request, text normalization of a question
-and of a context block, one caption and one prediction `complete` from the
-mock, a replayed caption through a session, one request over a loopback wire,
-context assembly, and one whole oracle item through `run_morevqa` on the mock
-and on a replay of its recording.
+program, the check of a tool request that returns its content key, text
+normalization of a question and of a context block, one caption and one
+prediction `complete` from the mock, a replayed caption through a session, one
+request over a loopback wire, context assembly, and one whole oracle item
+through `run_morevqa` on the mock and on a replay of its recording.
 
 The default run executes each case once, as a test (`--benchmark-disable` in
 pyproject). To time them:
@@ -33,9 +33,8 @@ from morevqa.tools import (
     ReplayBackend,
     ToolRequest,
     ToolSession,
-    canonical_args,
+    check_request,
 )
-from morevqa.tools import _request_key
 
 QUESTION = "why did the man smile after the dog started running at the beginning of the video?"
 
@@ -80,15 +79,10 @@ def test_bench_stage_calls(benchmark, plan_text):
     assert [name for name, _ in calls] == [stmt.name for stmt in program.statements]
 
 
-def test_bench_canonical_args(benchmark):
-    args = {"question": "what is the man doing?", "prefix": "ocr"}
-    assert benchmark(canonical_args, args) == '{"prefix":"ocr","question":"what is the man doing?"}'
-
-
 def test_bench_request_key_complete(benchmark):
     req = ToolRequest(1, "complete", "v000", None, {"prompt": "#predict\n" + "x" * 1500})
     key = ("complete", "v000", None, req.args["prompt"])
-    assert benchmark(_request_key, req) == key
+    assert benchmark(check_request, req) == key
 
 
 def test_bench_normalize_question(benchmark):

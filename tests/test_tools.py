@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morevqa import tools
 from morevqa.core import FrameWindow, MemoryState
 from morevqa.prompts import build_planner_prompt, build_predict_prompt
 from morevqa.server import start_server
@@ -26,14 +27,12 @@ from morevqa.tools import (
     ToolResponse,
     ToolSession,
     WorldFixture,
+    check_request,
     load_corpus,
     load_fixture,
     mock_localize,
     mock_score,
     mock_verify_action,
-    _request_key,
-    canonical_args,
-    validate_request,
     validate_result_shape,
 )
 
@@ -252,18 +251,47 @@ def test_recorded_grid_holds_each_distinct_request_once(tmp_path, mock_backend, 
     lines = rec_path.read_text(encoding="utf-8").splitlines()
     requests = [ToolRequest.from_json_dict(json.loads(line)) for line in lines[::2]]
     assert len(requests) == 1516
-    assert len({_request_key(req) for req in requests}) == 1516
+    assert len({check_request(req) for req in requests}) == 1516
     assert live == run_grid(ReplayBackend(rec_path), tmp_path / "replay")
+
+
+def test_recording_the_grid_checks_each_request_once_per_layer(tmp_path, mock_backend,
+                                                                run_grid, monkeypatch):
+    # the store checks each of the 4,424 requests once, and the mock once
+    # more for each of the 1,516 it misses
+    checked = []
+
+    def counting(req):
+        checked.append(req)
+        return check_request(req)
+
+    monkeypatch.setattr(tools, "check_request", counting)
+    recorder = RecordingBackend(mock_backend, tmp_path / "grid.jsonl")
+    try:
+        run_grid(recorder, tmp_path / "live")
+    finally:
+        recorder.close()
+    assert recorder.path.read_bytes().count(b"\n") == 2 * 1516
+    assert len(checked) == 4424 + 1516 == 5940
 
 
 # --- the store-backed backends: the wire client, the recorder and replay ---
 
+# Each invalid alias of a valid request would share its store key if it had
+# one: `True == 1.0 == 1`, an absent optional arg keys as None, and a caption
+# keys no args.
 STORE_REQUESTS = [
     ToolRequest(1, "caption", "v1", 5),
     ToolRequest(2, "caption", "v1", 99),  # backend error
     ToolRequest(3, "caption", "v1", None),  # invalid
     ToolRequest(4, "caption", "v1", True),  # invalid, never frame 1's reply
     ToolRequest(5, "caption", "v1", 1),
+    ToolRequest(6, "caption", "v1", 1.0),  # invalid, never frame 1's reply
+    ToolRequest(7, "caption", "v1", 5, {"pad": 1}),  # invalid, never frame 5's reply
+    ToolRequest(8, "vqa", "v1", 5, {"question": "q"}),
+    ToolRequest(9, "vqa", "v1", 5, {"question": "q", "prefix": None}),  # invalid
+    ToolRequest(10, "localize", "v1", None, {"object": "ball", "frames": [1]}),
+    ToolRequest(11, "localize", "v1", None, {"object": "ball", "frames": [True]}),  # invalid
 ]
 
 
@@ -317,18 +345,21 @@ def test_store_backed_contract(store_backend, backend):
     for req in STORE_REQUESTS + STORE_REQUESTS:
         assert store.dispatch(req) == backend.dispatch(req)
     for req in STORE_REQUESTS:
-        moved = dataclasses.replace(req, id=req.id + 10)  # a hit keeps ok, result and error
+        moved = dataclasses.replace(req, id=req.id + 100)  # a hit keeps ok, result and error
         assert store.dispatch(moved) == backend.dispatch(moved)
-    assert store.dispatch(STORE_REQUESTS[3]).error.startswith("invalid:")
+    invalid = [3, 4, 6, 7, 9, 11]
+    for i in invalid:  # each one again, and still refused
+        assert store.dispatch(STORE_REQUESTS[i - 1]).error.startswith("invalid:")
     if isinstance(store, ReplayBackend):
         # the recorded backend error is served as recorded; only the
         # invalid requests, which have no key, reach the miss
-        assert reached() == [3, 4, 3, 4, 13, 14, 4]
-        assert len(store) == 3
+        assert reached() == invalid + invalid + [i + 100 for i in invalid] + invalid
+        assert len(store) == 5
     else:
         # each ok reply is asked for once, the error replies every time
-        assert reached() == [1, 2, 3, 4, 5, 2, 3, 4, 12, 13, 14, 4]
-        assert len(store) == 2
+        errors = [2] + invalid
+        assert reached() == [*range(1, 12)] + errors + [i + 100 for i in errors] + invalid
+        assert len(store) == 4
 
 
 def _recorded(req: ToolRequest, reply: str) -> str:
@@ -394,8 +425,14 @@ def test_replay_miss_names_request(tmp_path, backend):
     replay = ReplayBackend(rec_path)
     with pytest.raises(ReplayMissError) as err:
         replay.dispatch(ToolRequest(1, "caption", "v1", 6))
-    assert "caption" in str(err.value)
-    assert "frame_id=6" in str(err.value)
+    assert str(err.value) == (
+        "replay miss: no recorded response for method=caption video_id='v1' frame_id=6 args={}")
+    # args as sorted compact JSON, non-ASCII escaped
+    with pytest.raises(ReplayMissError) as err:
+        replay.dispatch(ToolRequest(2, "vqa", "v1", 5, {"question": "q\u00e9", "prefix": "ocr"}))
+    assert str(err.value) == (
+        "replay miss: no recorded response for method=vqa video_id='v1' frame_id=5 "
+        'args={"prefix":"ocr","question":"q\\u00e9"}')
 
 
 def test_fixture_serialization_round_trip(tmp_path):
@@ -464,13 +501,14 @@ def test_bad_fixture_file_raises_fixture_error(tmp_path, text):
 
 
 def test_validate_request_rules():
-    assert validate_request(ToolRequest(1, "caption", "v1", 0)) is None
-    assert validate_request(ToolRequest(1, "caption", None, 0)) is not None
-    assert validate_request(ToolRequest(1, "vqa", "v1", 0)) is not None
-    assert validate_request(
+    assert check_request(ToolRequest(1, "caption", "v1", 0)) == ("caption", "v1", 0)
+    assert check_request(ToolRequest(1, "caption", None, 0)) == "caption requires video_id"
+    assert check_request(ToolRequest(1, "vqa", "v1", 0)) == "vqa requires a question arg"
+    assert check_request(
         ToolRequest(1, "localize", "v1", None, {"object": "x", "frames": "nope"})
-    ) is not None
-    assert validate_request(ToolRequest(1, "complete", None, None, {})) is not None
+    ) == "localize got a malformed frames arg"
+    assert check_request(ToolRequest(1, "complete", None, None, {})) == (
+        "complete requires a prompt arg")
     wrong_types = [
         ToolRequest(1, "caption", "v1", "3"),
         ToolRequest(1, "caption", "v1", True),
@@ -484,14 +522,14 @@ def test_validate_request_rules():
         ToolRequest(1, "complete", None, None, {"prompt": ["#predict"]}),
     ]
     for req in wrong_types + CONTRACT_PROBES:
-        assert validate_request(req) is not None, req
+        assert type(check_request(req)) is str, req
     optional_args = [
         ToolRequest(1, "vqa", "v1", 0, {"question": "q", "prefix": "ocr"}),
         ToolRequest(1, "localize", "v1", None, {"object": "x", "frames": [], "stage": "s"}),
         ToolRequest(1, "complete", None, None, {"prompt": "#predict"}),
     ]
     for req in optional_args:
-        assert validate_request(req) is None, req
+        assert type(check_request(req)) is tuple, req
 
 
 def test_every_request_the_grid_sends_is_valid(tmp_path, mock_backend, run_grid):
@@ -499,12 +537,12 @@ def test_every_request_the_grid_sends_is_valid(tmp_path, mock_backend, run_grid)
 
     class Checking:
         def dispatch(self, req):
-            complaints.append(validate_request(req))
+            complaints.append(check_request(req))
             return mock_backend.dispatch(req)
 
     run_grid(Checking(), tmp_path)
     assert len(complaints) == 4424
-    assert [c for c in complaints if c is not None] == []
+    assert [c for c in complaints if type(c) is str] == []
 
 
 def test_validate_result_shape_rejects_bools_as_numbers():
@@ -522,11 +560,6 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=10,
 )
-
-
-@given(st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4))
-def test_canonical_args_is_sorted_compact_json(args):
-    assert canonical_args(args) == json.dumps(args, sort_keys=True, separators=(",", ":"))
 
 
 # small domains, so two drawn requests are often equal or nearly so
@@ -553,6 +586,10 @@ def _valid_requests(draw) -> ToolRequest:
     return ToolRequest(1, method, video_id, frame_id, args)
 
 
+def _canonical(args: dict) -> str:
+    return json.dumps(args, sort_keys=True, separators=(",", ":"))
+
+
 def _with_other_extras(req: ToolRequest, extras: dict) -> ToolRequest:
     args = {k: v for k, v in req.args.items() if k not in ("prefix", "stage")}
     return ToolRequest(2, req.method, req.video_id, req.frame_id,
@@ -564,28 +601,30 @@ def _with_other_extras(req: ToolRequest, extras: dict) -> ToolRequest:
 def test_request_key_equal_exactly_when_canonical_content_equal(a, data):
     # b is another request, or a with its optional args drawn again
     b = data.draw(_valid_requests() | _EXTRA_ARGS.map(lambda extras: _with_other_extras(a, extras)))
-    assert validate_request(a) is None and validate_request(b) is None
-    same = ((a.method, a.video_id, a.frame_id, canonical_args(a.args))
-            == (b.method, b.video_id, b.frame_id, canonical_args(b.args)))
-    assert (_request_key(a) == _request_key(b)) is same
+    key_a, key_b = check_request(a), check_request(b)
+    assert type(key_a) is tuple and type(key_b) is tuple
+    same = ((a.method, a.video_id, a.frame_id, _canonical(a.args))
+            == (b.method, b.video_id, b.frame_id, _canonical(b.args)))
+    assert (key_a == key_b) is same
     # the same content under another id and arg order is the same key
     again = ToolRequest(2, a.method, a.video_id, a.frame_id, dict(reversed(a.args.items())))
-    assert _request_key(again) == _request_key(a)
+    assert check_request(again) == key_a
 
 
 def test_request_key_of_a_non_string_arg_is_never_a_string_key():
     # a non-string text arg is refused, so it never gets a key at all
     for prefix in (1, 1.0, True, None, [1], ["1"]):
-        assert validate_request(ToolRequest(1, "vqa", "v1", 0, {"question": "q", "prefix": prefix}))
+        req = ToolRequest(1, "vqa", "v1", 0, {"question": "q", "prefix": prefix})
+        assert check_request(req) == "vqa got a malformed prefix arg"
     # args key in table order, an absent optional one as None, frames as a tuple
-    assert _request_key(ToolRequest(1, "caption", "v1", 0)) == ("caption", "v1", 0)
-    assert _request_key(ToolRequest(1, "vqa", "v1", 0, {"question": "q"})) == (
+    assert check_request(ToolRequest(1, "caption", "v1", 0)) == ("caption", "v1", 0)
+    assert check_request(ToolRequest(1, "vqa", "v1", 0, {"question": "q"})) == (
         "vqa", "v1", 0, "q", None)
-    assert _request_key(ToolRequest(1, "vqa", "v1", 0, {"prefix": "ocr", "question": "q"})) == (
+    assert check_request(ToolRequest(1, "vqa", "v1", 0, {"prefix": "ocr", "question": "q"})) == (
         "vqa", "v1", 0, "q", "ocr")
     localize = ToolRequest(1, "localize", "v1", None,
                            {"stage": "s", "frames": [2, 1], "object": "cup"})
-    assert _request_key(localize) == ("localize", "v1", None, "cup", (2, 1), "s")
+    assert check_request(localize) == ("localize", "v1", None, "cup", (2, 1), "s")
 
 
 def test_request_and_response_are_frozen():
