@@ -15,6 +15,7 @@ from .harness import (
     BackendUnreachable,
     DatasetError,
     ablation_csv,
+    check_workers,
     load_dataset,
     qtype_stats,
     read_traces,
@@ -86,32 +87,35 @@ def _build_configs(config_path: str | None) -> tuple[RunConfig, JcefConfig, int]
     run_fields = {f.name for f in fields(RunConfig)}
     jcef_fields = {f.name for f in fields(JcefConfig)}
     for key, raw in values.items():
-        if key == "workers":
-            workers = _coerce(raw, int)
-        elif key == "stage_mask":
-            bits = [b.strip() for b in raw.split(",")]
-            if len(bits) != 3:
-                raise CliError("stage_mask must be three comma-separated flags")
-            run_config = replace(
-                run_config, stage_mask=tuple(_coerce(b, bool) for b in bits)
-            )
-        elif key in run_fields:
-            hint = type(getattr(run_config, key))
-            run_config = replace(run_config, **{key: _coerce(raw, hint)})
-        elif key in jcef_fields:
-            hint = type(getattr(jcef_config, key))
-            jcef_config = replace(jcef_config, **{key: _coerce(raw, hint)})
-        else:
-            raise CliError(f"unknown config key {key!r}")
+        try:
+            if key == "workers":
+                workers = _coerce(raw, int)
+            elif key == "stage_mask":
+                bits = [b.strip() for b in raw.split(",")]
+                if len(bits) != 3:
+                    raise CliError("stage_mask must be three comma-separated flags")
+                run_config = replace(
+                    run_config, stage_mask=tuple(_coerce(b, bool) for b in bits)
+                )
+            elif key in run_fields:
+                hint = type(getattr(run_config, key))
+                run_config = replace(run_config, **{key: _coerce(raw, hint)})
+            elif key in jcef_fields:
+                hint = type(getattr(jcef_config, key))
+                jcef_config = replace(jcef_config, **{key: _coerce(raw, hint)})
+            else:
+                raise CliError(f"unknown config key {key!r}")
+        except ValueError as exc:  # a value that RunConfig or JcefConfig refuses
+            raise CliError(f"{config_path}: {key}: {exc}") from None
     return run_config, jcef_config, workers
 
 
 def resolve_workers(flag: int | None, configured: int) -> int:
-    """`--workers` when given, else the config file's value; at least 1."""
-    workers = configured if flag is None else flag
-    if workers < 1:
-        raise CliError(f"workers must be at least 1, got {workers}")
-    return workers
+    """`--workers` when given, else the config file's value; in 1-`MAX_WORKERS`."""
+    try:
+        return check_workers(configured if flag is None else flag)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _address(text: str) -> tuple[str, int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -258,8 +259,8 @@ class JcefConfig:
     frame_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.fps_caption <= 0:
-            raise ValueError("fps_caption must be positive")
+        if not 0.0 < self.fps_caption < math.inf:  # NaN included
+            raise ValueError("fps_caption must be a finite positive number")
         if not 0.0 <= self.frame_fraction <= 1.0:
             raise ValueError("frame_fraction must lie in [0, 1]")
 

@@ -62,6 +62,9 @@ ABLATION_MASKS = (
     (True, True, True),
 )
 
+# The most threads one evaluation runs items on; README "Workers" says why.
+MAX_WORKERS = 64
+
 # The run_experiments.py grid: every system, then `morevqa` under each mask.
 GRID = tuple((system, RunConfig()) for system in SYSTEMS) + tuple(
     ("morevqa", RunConfig(stage_mask=mask)) for mask in ABLATION_MASKS)
@@ -69,6 +72,15 @@ GRID = tuple((system, RunConfig()) for system in SYSTEMS) + tuple(
 
 class DatasetError(Exception):
     pass
+
+
+def check_workers(workers: int) -> int:
+    """`workers` when it lies in 1-`MAX_WORKERS`; ValueError otherwise."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
+    return workers
 
 
 @dataclass
@@ -362,8 +374,7 @@ def run_eval(
 ) -> tuple[list[EvalResult], dict[str, Any]]:
     """Evaluate every item; with `out_dir`, write its outputs there."""
     needs_video = _system(system).needs_video
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_workers(workers)
     settings = Settings(run_config or RunConfig(), jcef_config or JcefConfig(),
                         Path(dataset_dir) if dataset_dir is not None else None, planner)
     # `eval --record` wraps the client: probe the client itself, so that

@@ -13,7 +13,7 @@ import re
 import socketserver
 import threading
 
-from .tools import MAX_LINE_BYTES, RequestLineError, ToolResponse, encode_line, read_request
+from .tools import MAX_LINE_BYTES, RequestLineError, ToolResponse, encode_reply, read_request
 
 
 def _reply_line(backend, line: bytes) -> bytes:
@@ -21,12 +21,12 @@ def _reply_line(backend, line: bytes) -> bytes:
     try:
         req = read_request(line)
     except RequestLineError as exc:
-        return encode_line(ToolResponse(exc.id, ok=False, error=f"invalid: {exc}"))
+        return encode_reply(exc.id, ToolResponse(ok=False, error=f"invalid: {exc}"))
     try:
-        return encode_line(backend.dispatch(req))
+        return encode_reply(req.id, backend.dispatch(req))
     except Exception as exc:  # a backend fault must not drop the connection
         error = f"backend: {type(exc).__name__}: {exc}"
-        return encode_line(ToolResponse(req.id, ok=False, error=error))
+        return encode_reply(req.id, ToolResponse(ok=False, error=error))
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -36,7 +36,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 while line and not line.endswith(b"\n"):  # skip the rest of the line
                     line = self.rfile.readline(MAX_LINE_BYTES)
                 error = f"invalid: request line longer than {MAX_LINE_BYTES} bytes"
-                reply = encode_line(ToolResponse(0, ok=False, error=error))
+                reply = encode_reply(0, ToolResponse(ok=False, error=error))
             else:
                 # without its newline, a line reads as it does in a recording
                 reply = _reply_line(self.server.backend, line.removesuffix(b"\n"))

@@ -2,7 +2,8 @@
 backend, the line codec of the wire and of recordings, a wire-protocol
 client, and record/replay.
 
-Every backend implements `dispatch(ToolRequest) -> ToolResponse`. Failures are
+Every backend implements `dispatch(ToolRequest) -> ToolResponse`. A reply
+carries no id: only the line codec pairs it with its request. Failures are
 reported in the response error text with a distinguishing prefix: `invalid:`
 for request validation, `backend:` for backend-side failures, `transport:`
 for wire problems.
@@ -98,31 +99,21 @@ _set_req_args = ToolRequest.args.__set__
 
 @dataclass(frozen=True, slots=True, init=False)
 class ToolResponse:
-    id: int
     ok: bool
     result: Any = None
     error: str | None = None
 
-    def __init__(self, id: int, ok: bool, result: Any = None, error: str | None = None) -> None:
+    def __init__(self, ok: bool, result: Any = None, error: str | None = None) -> None:
         if ok == (error is not None):
             raise ValueError("exactly one of result-ok and error must hold")
-        _set_resp_id(self, id)
         _set_resp_ok(self, ok)
         _set_resp_result(self, result)
         _set_resp_error(self, error)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {"id": self.id, "ok": self.ok, "result": self.result, "error": self.error}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict[str, Any]) -> "ToolResponse":
-        reply_id, ok = _json_id(obj), obj["ok"]
-        if type(ok) is not bool:
-            raise ValueError(f"ok must be a boolean, got {ok!r}")
-        return cls(id=reply_id, ok=ok, result=obj.get("result"), error=obj.get("error"))
+        return {"ok": self.ok, "result": self.result, "error": self.error}
 
 
-_set_resp_id = ToolResponse.id.__set__
 _set_resp_ok = ToolResponse.ok.__set__
 _set_resp_result = ToolResponse.result.__set__
 _set_resp_error = ToolResponse.error.__set__
@@ -281,6 +272,8 @@ class WorldFixture:
     def __post_init__(self) -> None:
         if not 0.0 < self.fps < math.inf:
             raise ValueError(f"{self.video_id}: fps must be a finite positive number")
+        if not self.frames:
+            raise ValueError(f"{self.video_id}: frames must be non-empty")
         for idx, frame in enumerate(self.frames):
             if frame.frame_id != idx:
                 raise ValueError(f"{self.video_id}: frame ids must be contiguous from 0")
@@ -476,12 +469,12 @@ class MockBackend:
     def dispatch(self, req: ToolRequest) -> ToolResponse:
         complaint = check_request(req)
         if type(complaint) is str:
-            return ToolResponse(req.id, ok=False, error=f"invalid: {complaint}")
+            return ToolResponse(ok=False, error=f"invalid: {complaint}")
         try:
             result = self._route(req)
         except MockBackendError as exc:
-            return ToolResponse(req.id, ok=False, error=f"backend: {exc}")
-        return ToolResponse(req.id, ok=True, result=result)
+            return ToolResponse(ok=False, error=f"backend: {exc}")
+        return ToolResponse(ok=True, result=result)
 
     def _route(self, req: ToolRequest) -> Any:
         method, frame_id, args = req.method, req.frame_id, req.args
@@ -507,10 +500,11 @@ class MockBackend:
 
 class ReplyStore:
     """The one dispatch path of the wire client, the recorder and replay;
-    each defines only `_miss(req)`. Replies are keyed by request content and
-    answered under the caller's id: every tool is deterministic (`complete`
-    decodes at temperature 0), so a reply answers every later request with
-    the same `check_request` key. A request that `check_request` rejects has
+    each defines only `_miss(req)`. Replies are keyed by request content, and
+    a hit returns the reply object held: every tool is deterministic
+    (`complete` decodes at temperature 0), so a reply answers every later
+    request with the same `check_request` key, whatever its id, and nothing
+    mutates a reply. A request that `check_request` rejects has
     no key: it goes straight to `_miss` and is never looked up. Only ok
     misses are kept: `invalid:`, `backend:` and `transport:` replies are
     asked for again. Nothing is evicted. Threads share the store without a
@@ -529,7 +523,7 @@ class ReplyStore:
             return self._miss(req)
         hit = self._replies.get(key)
         if hit is not None:
-            return ToolResponse(req.id, hit.ok, hit.result, hit.error)
+            return hit
         resp = self._miss(req)
         if resp.ok:
             self._replies[key] = resp
@@ -538,10 +532,15 @@ class ReplyStore:
 
 # --- the line codec of the wire and of recordings ---
 
-def encode_line(record: ToolRequest | ToolResponse) -> bytes:
-    """The line of a request or reply, newline included. `json.dumps` escapes
-    every non-ASCII character, so the line is ASCII and thus UTF-8."""
-    return json.dumps(record.to_json_dict()).encode() + b"\n"
+def encode_line(req: ToolRequest) -> bytes:
+    """The line of a request, newline included. `json.dumps` escapes every
+    non-ASCII character, so the line is ASCII and thus UTF-8."""
+    return json.dumps(req.to_json_dict()).encode() + b"\n"
+
+
+def encode_reply(req_id: int, resp: ToolResponse) -> bytes:
+    """The line of `resp` as the reply to request `req_id`, newline included."""
+    return json.dumps({"id": req_id, **resp.to_json_dict()}).encode() + b"\n"
 
 
 class RequestLineError(ValueError):
@@ -575,11 +574,15 @@ def _read_reply(line: bytes, req: ToolRequest) -> ToolResponse:
     """The reply on `line` to `req`. Raises ValueError when the line cannot be
     read, answers another id or carries a result of the wrong shape."""
     try:  # decoded first for the reason `read_request` gives
-        resp = ToolResponse.from_json_dict(json.loads(line.decode("utf-8")))
+        obj = json.loads(line.decode("utf-8"))
+        reply_id, ok = _json_id(obj), obj["ok"]
+        if type(ok) is not bool:
+            raise ValueError(f"ok must be a boolean, got {ok!r}")
+        resp = ToolResponse(ok, obj.get("result"), obj.get("error"))
     except _JSON_ERRORS as exc:
         raise ValueError(f"bad response line ({exc})") from exc
-    if resp.id != req.id:
-        raise ValueError(f"reply id {resp.id} to request id {req.id}")
+    if reply_id != req.id:
+        raise ValueError(f"reply id {reply_id} to request id {req.id}")
     if not (validate_result_shape(req.method, resp.result) if resp.ok
             else isinstance(resp.error, str)):
         raise ValueError(f"malformed {req.method} reply")
@@ -641,18 +644,17 @@ class RemoteBackend(ReplyStore):
                 line = self._file.readline(MAX_LINE_BYTES)
             except OSError as exc:
                 self._close_locked()
-                return ToolResponse(req.id, ok=False, error=f"transport: {exc}")
+                return ToolResponse(ok=False, error=f"transport: {exc}")
             if not line:
                 self._close_locked()
-                return ToolResponse(req.id, ok=False,
-                                    error="transport: connection closed by server")
+                return ToolResponse(ok=False, error="transport: connection closed by server")
             try:
                 if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
                     raise ValueError(f"reply line longer than {MAX_LINE_BYTES} bytes")
                 return _read_reply(line, req)
             except ValueError as exc:
                 self._close_locked()  # the next call reconnects
-                return ToolResponse(req.id, ok=False, error=f"transport: {exc}")
+                return ToolResponse(ok=False, error=f"transport: {exc}")
 
 
 # --- record / replay ---
@@ -676,7 +678,7 @@ class RecordingBackend(ReplyStore):
     def _miss(self, req: ToolRequest) -> ToolResponse:
         resp = self.inner.dispatch(req)
         with self._lock:
-            self._fh.write(encode_line(req) + encode_line(resp))
+            self._fh.write(encode_line(req) + encode_reply(req.id, resp))
             self._fh.flush()
         return resp
 
@@ -719,7 +721,7 @@ class ReplayBackend(ReplyStore):
         # an invalid request is answered as any live backend answers it
         complaint = check_request(req)
         if type(complaint) is str:
-            return ToolResponse(req.id, ok=False, error=f"invalid: {complaint}")
+            return ToolResponse(ok=False, error=f"invalid: {complaint}")
         args = json.dumps(req.args, sort_keys=True, separators=(",", ":"))
         raise ReplayMissError(
             "replay miss: no recorded response for "

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 
 import pytest
 
 from morevqa import cli
 from morevqa.cli import main
 from morevqa.core import RunConfig
-from morevqa.harness import load_dataset, run_eval
+from morevqa.harness import MAX_WORKERS, load_dataset, run_eval
 
 
 def _read(path):
@@ -456,6 +457,69 @@ def test_bad_config_or_workers_is_fatal(oracle_dir, tmp_path, capsys, command, l
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _argv(command, oracle_dir, fixtures=None):
+    """`command` over the oracle dataset on a mock of `fixtures` (the oracle's
+    by default), or for `run`, one question about video v000."""
+    backend = f"mock:{fixtures or oracle_dir / 'fixtures'}"
+    if command == "run":
+        return ["run", "--video", "v000", "--question", "why?", "--backend", backend]
+    dataset = ["--dataset", str(oracle_dir / "dataset.jsonl")]
+    if command == "replay":
+        return ["replay", *dataset, "--system", "morevqa", "--recording", "none.jsonl"]
+    system = ["--system", "morevqa"] if command == "eval" else []
+    return [command, *dataset, *system, "--backend", backend]
+
+
+@pytest.mark.parametrize("command", ["eval", "run"])
+@pytest.mark.parametrize("key, value, message", [
+    ("score_threshold", "2", "score_threshold must lie in (0, 1)"),
+    ("n_context_frames", "0", "n_context_frames must be >= 1"),
+    ("trim_mode", "bogus", "trim_mode must be 'keep' or 'remove'"),
+    ("fps_caption", "-1", "fps_caption must be a finite positive number"),
+    ("fps_caption", "nan", "fps_caption must be a finite positive number"),
+    ("fps_caption", "inf", "fps_caption must be a finite positive number"),
+])
+def test_a_refused_config_value_is_one_error_line(oracle_dir, tmp_path, capsys, command, key,
+                                                  value, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key}={value}\n", encoding="utf-8")
+    assert main(_argv(command, oracle_dir) + ["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}: {key}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "run"])
+def test_a_fixture_with_no_frames_is_one_error_line(oracle_dir, tmp_path, capsys, command):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    path = fixtures / "v000.json"
+    path.write_text('{"video_id": "v000", "fps": 1.0, "frames": []}', encoding="utf-8")
+    assert main(_argv(command, oracle_dir, fixtures)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: fixture {path}: ValueError: v000: frames must be non-empty\n"
+
+
+@pytest.mark.parametrize("command, line, flags", [
+    ("eval", f"workers={MAX_WORKERS + 1}", []),
+    ("eval", "workers=1", ["--workers", str(MAX_WORKERS + 1)]),
+    ("ablate", "workers=1", ["--workers", str(MAX_WORKERS + 1)]),
+    ("replay", f"workers={MAX_WORKERS + 1}", []),
+], ids=["eval-config", "eval-flag", "ablate-flag", "replay-config"])
+def test_workers_over_the_cap_is_one_error_line(oracle_dir, tmp_path, capsys, command, line,
+                                               flags):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    before = threading.active_count()
+    assert main(_argv(command, oracle_dir) + ["--config", str(config), *flags]) == 2
+    assert threading.active_count() == before
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: workers must be at most {MAX_WORKERS}, got {MAX_WORKERS + 1}\n")
 
 
 def test_lenient_eval_keeps_stdout_json(oracle_dir, tmp_path, capsys):

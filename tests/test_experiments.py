@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from morevqa.harness import GRID
+from morevqa.harness import GRID, MAX_WORKERS
 from morevqa.server import start_server
 from morevqa.tools import MockBackend, RecordingBackend, ToolRequest
 
@@ -136,4 +136,11 @@ def test_workers_below_one_is_one_error_line(oracle_dir):
     proc = _run(oracle_dir, "--workers", "0", check=False)
     assert proc.returncode == 2
     assert proc.stderr == "error: workers must be at least 1, got 0\n"
+    assert proc.stdout == ""
+
+
+def test_workers_over_the_cap_is_one_error_line(oracle_dir):
+    proc = _run(oracle_dir, "--workers", str(MAX_WORKERS + 1), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: workers must be at most {MAX_WORKERS}, got {MAX_WORKERS + 1}\n"
     assert proc.stdout == ""

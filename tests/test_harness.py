@@ -25,6 +25,7 @@ from morevqa.tools import (
     validate_result_shape,
 )
 from morevqa.harness import (
+    MAX_WORKERS,
     SYSTEMS,
     DatasetError,
     EvalItem,
@@ -416,6 +417,15 @@ def test_run_eval_rejects_fewer_than_one_worker(oracle_dir, oracle_bundle, mock_
                  workers=workers)
 
 
+def test_run_eval_refuses_workers_over_the_cap_before_any_thread_starts(
+        oracle_dir, oracle_bundle, mock_backend):
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"workers must be at most {MAX_WORKERS}, got "):
+        run_eval(_items(oracle_dir), "morevqa", mock_backend, oracle_bundle.fixtures,
+                 workers=MAX_WORKERS + 1)
+    assert threading.active_count() == before
+
+
 def _within(timeout_s, fn):
     """Run `fn` on a daemon thread joined with a timeout, so a hung call
     fails the test and does not block exit; return {"value": ...} or
@@ -607,10 +617,10 @@ class _HostileBackend:
             return self.inner.dispatch(req)
         self.hostile += 1
         if rng.random() < 0.1:
-            return ToolResponse(req.id, ok=False, error="backend: hostile")
+            return ToolResponse(ok=False, error="backend: hostile")
         result = _HOSTILE_RESULTS[req.method](rng)
         assert validate_result_shape(req.method, result)
-        return ToolResponse(req.id, ok=True, result=result)
+        return ToolResponse(ok=True, result=result)
 
 
 @pytest.mark.parametrize("seed", range(4))

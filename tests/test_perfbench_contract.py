@@ -95,3 +95,27 @@ def test_tracer_spans_every_system(oracle_bundle, oracle_dir, mock_backend):
     } | {(f"pipeline.{stage}", f"morevqa:{item.video_id}")
          for stage in ("event_parsing", "grounding", "reasoning", "context", "predict")}
     assert expected <= spans
+
+
+def test_tracer_sizes_wire_calls_from_their_json_dicts(mock_backend):
+    """In wire mode the tracer sizes each call from `req.to_json_dict()` and
+    `resp.to_json_dict()`; outside this test only a traced `grid-wire-2w` run
+    reaches that code."""
+    tracer = _load("tracer")
+    tools = importlib.import_module("morevqa.tools")
+    server = importlib.import_module("morevqa.server").start_server(mock_backend)
+    remote = tools.RemoteBackend(*server.server_address[:2])
+    t = tracer.Tracer()
+    t.wrap_backend(remote, "tools.backend", track_repeats=True, wire=True)
+    try:
+        ok = remote.dispatch(tools.ToolRequest(1, "caption", "v000", 1))
+        invalid = remote.dispatch(tools.ToolRequest(2, "caption", "v000", None))
+        totals, counts = t.take()
+    finally:
+        t.uninstall()
+        remote.close()
+        server.shutdown()
+        server.server_close()
+    assert ok.ok and invalid.error.startswith("invalid:")
+    assert set(totals) == {"tools.backend.caption"} and totals["tools.backend.caption"][0] == 2
+    assert counts["wire_bytes"] > 0 and "repeats" not in counts

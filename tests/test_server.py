@@ -20,6 +20,7 @@ from morevqa.tools import (
     RequestLineError,
     ToolError,
     ToolRequest,
+    ToolResponse,
     ToolSession,
     encode_line,
     read_request,
@@ -98,18 +99,26 @@ def test_malformed_line_keeps_connection_open(server):
     sock.close()
 
 
-def test_concurrent_clients_get_matching_ids(server):
+def test_concurrent_clients_get_matching_ids(server, oracle_bundle):
+    # each worker asks for frames whose caption no other worker's frame has,
+    # so a reply that reached another worker's request could not pass
     host, port = _addr(server)
+    fixtures = sorted(oracle_bundle.fixtures.items())
+    captions = sorted({frame.caption for _, fixture in fixtures for frame in fixture.frames})
+    asks = [[] for _ in range(4)]
+    for video_id, fixture in fixtures:
+        for frame in fixture.frames:
+            asks[captions.index(frame.caption) % 4].append((video_id, frame))
+    assert min(map(len, asks)) >= 20
     errors = []
 
     def worker(offset):
         try:
             remote = RemoteBackend(host, port)
-            for i in range(20):
-                req_id = offset * 1000 + i
-                resp = remote.dispatch(ToolRequest(req_id, "caption", "v000", i % 32))
-                assert resp.id == req_id, (resp.id, req_id)
-                assert resp.ok
+            for i, (video_id, frame) in enumerate(asks[offset][:20]):
+                req = ToolRequest(offset * 1000 + i, "caption", video_id, frame.frame_id)
+                resp = remote.dispatch(req)
+                assert resp.ok and resp.result == frame.caption, (resp, frame)
             remote.close()
         except Exception as exc:  # surface across the thread boundary
             errors.append(exc)
@@ -151,7 +160,7 @@ def test_grid_over_wire_asks_each_distinct_request_once(counted_server, mock_bac
     assert wire == run_grid(mock_backend, tmp_path / "mock")
 
 
-def test_store_hit_answers_with_callers_id(counted_server, mock_backend):
+def test_store_hit_returns_the_stored_reply(counted_server, mock_backend):
     srv, counting = counted_server
     remote = RemoteBackend(*_addr(srv))
     first = remote.dispatch(ToolRequest(1, "caption", "v000", 3))
@@ -159,7 +168,7 @@ def test_store_hit_answers_with_callers_id(counted_server, mock_backend):
     remote.close()
     assert len(counting.requests) == 1
     assert again == mock_backend.dispatch(ToolRequest(2, "caption", "v000", 3))
-    assert first.result == again.result
+    assert again is first
 
 
 def test_error_replies_are_not_stored(counted_server, mock_backend):
@@ -198,12 +207,25 @@ def test_backend_exception_keeps_connection_open():
         remote = RemoteBackend(*_addr(srv))
         for req_id in (1, 2):
             resp = remote.dispatch(ToolRequest(req_id, "caption", "v000", 0))
-            assert resp.id == req_id
-            assert resp.error == "backend: RuntimeError: boom"
+            assert resp == ToolResponse(ok=False, error="backend: RuntimeError: boom")
         remote.close()
     finally:
         srv.shutdown()
         srv.server_close()
+
+
+@pytest.mark.parametrize("line, reply", [
+    (b'{"id": 7, "method": "caption", "video_id": "v000", "frame_id": 1}',
+     b'{"id": 7, "ok": true, "result": "this quiet street has parked cars", "error": null}\n'),
+    (b'{"id": 8, "method": "caption", "video_id": "v000", "frame_id": 99}',
+     b'{"id": 8, "ok": false, "result": null, '
+     b'"error": "backend: unknown frame 99 of video \'v000\'"}\n'),
+    (b"not json",
+     b'{"id": 0, "ok": false, "result": null, '
+     b'"error": "invalid: bad request line (Expecting value: line 1 column 1 (char 0))"}\n'),
+], ids=["ok", "backend-error", "invalid-id-0"])
+def test_reply_line_bytes(mock_backend, line, reply):
+    assert _reply_line(mock_backend, line) == reply
 
 
 @pytest.mark.parametrize("req_id", [7, 1.9, 1.0, True, "7", None, [1]])
@@ -251,7 +273,7 @@ def test_contract_probe_is_invalid_on_every_backend(server, mock_backend, tmp_pa
     try:
         for backend in (mock_backend, remote, ReplayBackend(empty)):
             resp = backend.dispatch(req)
-            assert resp.id == req.id and resp.error.startswith("invalid:"), (backend, resp)
+            assert not resp.ok and resp.error.startswith("invalid:"), (backend, resp)
     finally:
         remote.close()
 
@@ -297,7 +319,7 @@ def test_remote_drops_a_reply_line_over_the_cap():
     fake = _ReplyServer(reply)
     remote = RemoteBackend("127.0.0.1", fake.port, timeout_s=5)
     resp = remote.dispatch(_CAPTION)
-    assert resp.id == 1 and resp.error.startswith("transport: reply line longer")
+    assert resp.error.startswith("transport: reply line longer")
     assert remote._sock is None  # the rest of the line is never read as a reply
     remote.close()
     fake.sock.close()
@@ -382,7 +404,7 @@ def test_remote_rejects_bad_reply(reply, req):
     fake = _ReplyServer(reply)
     remote = RemoteBackend("127.0.0.1", fake.port, timeout_s=5)
     resp = remote.dispatch(req)
-    assert resp.id == 1 and resp.error.startswith("transport:")
+    assert resp.error.startswith("transport:")
     remote.close()
     fake.sock.close()
 

@@ -48,7 +48,7 @@ class FailAt:
     def dispatch(self, req):
         self.calls += 1
         if self.calls == self.at:
-            return ToolResponse(req.id, ok=False, error="backend: injected")
+            return ToolResponse(ok=False, error="backend: injected")
         return self.inner.dispatch(req)
 
 
